@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 
-from iqselmer._par import pmap
 from iqselmer.descent import closed_form_rank, curve_spec, selmer_rank2
 from iqselmer.errors import RamifiedFactor
 from iqselmer.quadfield import SUPPORTED_DISCS, make_field
@@ -35,7 +34,7 @@ def main() -> int:
     args = ap.parse_args()
 
     bs = [s * n for n in range(1, args.bmax + 1) for s in (1, -1)]
-    rows = pmap(lambda b: (b, [cell(b, D) for D in SUPPORTED_DISCS]), bs)
+    rows = [(b, [cell(b, D) for D in SUPPORTED_DISCS]) for b in bs]
 
     header = ["b".rjust(5)] + [f"D={D}".rjust(7) for D in SUPPORTED_DISCS]
     print("  ".join(header))

@@ -20,6 +20,9 @@ from .quadfield import legendre_symbol
 
 Element = "int | tuple[int, ...]"
 
+# highest extension degree k of a residue field F_{p^k}
+MAX_DEGREE = 4
+
 
 def _least_nonresidue(p: int) -> int:
     for n in range(2, p):
@@ -52,14 +55,16 @@ class ResidueField:
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if not sympy.isprime(p) or p == 2:
             raise InvalidModulus(f"characteristic must be an odd prime, got {p}")
-        assert 1 <= k <= 4
+        if not 1 <= k <= MAX_DEGREE:
+            raise InvalidModulus(f"extension degree must be 1..{MAX_DEGREE}, got {k}")
         self.p = p
         self.k = k
         self.q = p**k
         if k == 1:
             self.modulus = (1, 0)
         elif modulus is not None:
-            assert len(modulus) == k + 1 and modulus[0] % p == 1
+            if len(modulus) != k + 1 or modulus[0] % p != 1:
+                raise InvalidModulus(f"{modulus} is not a monic polynomial of degree {k}")
             mod = tuple(c % p for c in modulus)
             if not gf_irreducible_p(list(mod), p, ZZ):
                 raise InvalidModulus(f"{modulus} is reducible over F_{p}")

@@ -5,8 +5,7 @@ Every subcommand prints one JSON object with sorted keys, except
 can be consumed incrementally.  Exit codes: 0 on success, 1 on a domain
 error (a structured ``{"error": ...}`` object is printed), 2 on a usage
 error (argparse).  Output is byte-identical across runs for identical
-inputs; ``SELMER_THREADS`` caps worker threads without affecting output
-order.
+inputs.
 """
 
 from __future__ import annotations
@@ -17,20 +16,11 @@ from math import gcd
 
 import sympy
 
-from ._par import pmap
-from .charsums import default_field, exception_scan
+from .charsums import MAX_DEGREE, default_field, exception_scan
 from .congruent import CongruentVerdict, congruent_verdict, scan_new_congruent, scan_verdicts
 from .descent import closed_form_rank, curve_spec, selmer_rank2
 from .errors import DomainError
-from .localsolve import (
-    HomSpace,
-    VerdictTag,
-    bad_places,
-    everywhere_verdicts,
-    oracle_search,
-    predicate_odd_place,
-    predicate_two_adic,
-)
+from .localsolve import HomSpace, VerdictTag, everywhere_verdicts, oracle_search
 from .quadfield import (
     FieldCtx,
     Place,
@@ -66,32 +56,18 @@ def _squarefree(n: int) -> bool:
 
 
 def _candidate_spaces(b: int, F: FieldCtx) -> list[HomSpace]:
-    out = []
-    for side in (Side.PHI, Side.PHIHAT):
-        for c in selmer_candidates(b, side, F):
-            out.append(HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion))
-    return out
+    sides = (Side.PHI, Side.PHIHAT)
+    return [HomSpace.of_candidate(c, F) for side in sides for c in selmer_candidates(b, side, F)]
 
 
 # ---------------------------------------------------------------------------
 # selrank
 
 
-def _cases_fired(b: int, F: FieldCtx) -> list[str]:
-    """Sorted distinct decision-case labels hit across both isogeny sides."""
-    labels: set[str] = set()
-    for space in _candidate_spaces(b, F):
-        for _, v in everywhere_verdicts(space, F):
-            if v.reason:
-                labels.add(v.reason)
-    return sorted(labels)
-
-
 def _cmd_selrank(args: argparse.Namespace) -> int:
     F = make_field(args.disc)
     spec = curve_spec(args.b, F)
     rep = selmer_rank2(spec)
-    cases = _cases_fired(spec.b, F)
 
     if args.table:
         rows = [
@@ -101,7 +77,7 @@ def _cmd_selrank(args: argparse.Namespace) -> int:
             ("dim S^(phihat)", str(rep.dim_phihat)),
             ("2-Selmer rank", str(rep.sel_rank2)),
             ("full 2-torsion", str(rep.torsion_full)),
-            ("cases fired", ", ".join(cases)),
+            ("cases fired", ", ".join(rep.cases_fired)),
         ]
         if args.show_generators:
             # a trailing * marks the class of a rational 2-torsion point
@@ -125,7 +101,7 @@ def _cmd_selrank(args: argparse.Namespace) -> int:
         "dim_phihat": rep.dim_phihat,
         "sel_rank2": rep.sel_rank2,
         "torsion_full": rep.torsion_full,
-        "cases_fired": cases,
+        "cases_fired": list(rep.cases_fired),
     }
     if args.show_generators:
         payload["generators_phi"] = [{"rep": str(g.rep), "torsion": g.torsion} for g in rep.gens_phi]
@@ -214,8 +190,16 @@ _DEGREE4_EXCEPTIONS = {5: ((1, 2), (2, 3), (3, 2), (4, 3)), 9: _degree4_exceptio
 
 
 def _cmd_verify_charsum(args: argparse.Namespace) -> int:
+    # fail before scanning: 3^(MAX_DEGREE + 1) is the least odd prime power
+    # whose residue field has a degree above MAX_DEGREE
+    first_unsupported = 3 ** (MAX_DEGREE + 1)
+    if args.qmax >= first_unsupported:
+        raise DomainError(
+            f"--qmax must be below {first_unsupported} = 3^{MAX_DEGREE + 1}: "
+            f"residue fields of degree above {MAX_DEGREE} are not supported"
+        )
     qs = _odd_prime_powers(5, args.qmax)
-    rows = pmap(lambda q: (q, exception_scan(args.degree, q)), qs)
+    rows = [(q, exception_scan(args.degree, q)) for q in qs]
     expected = _DEGREE4_EXCEPTIONS if args.degree == 4 else {}
     mismatches = [q for q, found in rows if tuple(found) != expected.get(q, ())]
     payload = {
@@ -247,7 +231,7 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
         ok = minus.member and plus.member and square == identity
         return p, ok, str(minus.t), str(minus.s)
 
-    rows = pmap(check, split)
+    rows = [check(p) for p in split]
     exceptions = [{"p": p, "s": s_, "t": t} for p, ok, t, s_ in rows if not ok]
     payload = {
         "command": "verify trace-lemma",
@@ -271,11 +255,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
         disagreements: list[dict] = []
         for space in _candidate_spaces(b, F):
             spaces += 1
-            for pl in bad_places(space, F):
-                if pl.kind is PlaceKind.TWO_ADIC:
-                    pred = predicate_two_adic(space, F)
-                else:
-                    pred = predicate_odd_place(space, pl)
+            for pl, pred in everywhere_verdicts(space, F):
                 orc = oracle_search(space, pl, max_precision=args.precision)
                 checks += 1
                 item = {
@@ -292,7 +272,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
                     disagreements.append(item)
         return spaces, checks, undecided, disagreements
 
-    rows = pmap(sweep, bs)
+    rows = [sweep(b) for b in bs]
     undecided = [d for row in rows for d in row[2]]
     disagreements = [d for row in rows for d in row[3]]
     payload = {
@@ -339,7 +319,7 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> int:
         assert want is not None, (family, b)
         return family, b, want, selmer_rank2(spec).sel_rank2
 
-    rows = pmap(check, specs)
+    rows = [check(item) for item in specs]
     mismatches = [
         {"b": b, "closed_form": want, "family": fam, "pipeline": got}
         for fam, b, want, got in rows
@@ -373,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "fields of class number one in which 2 stays prime "
             "(D = -3, -11, -19, -43, -67, -163)."
         ),
-        epilog="SELMER_THREADS caps worker threads (default: hardware count).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

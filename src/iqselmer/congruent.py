@@ -14,7 +14,6 @@ from math import gcd
 
 import sympy
 
-from ._par import pmap
 from .descent import closed_form_rank, curve_spec
 from .errors import NotSquarefree
 from .quadfield import FieldCtx, PlaceKind, legendre_symbol, splitting_type
@@ -151,7 +150,7 @@ def congruent_verdict(n: int, F: FieldCtx) -> CongruentVerdict:
 def scan_verdicts(n_max: int, F: FieldCtx) -> tuple[CongruentVerdict, ...]:
     """Verdicts for every squarefree 1 <= n <= n_max, ascending."""
     ns = [n for n in range(1, n_max + 1) if all(e == 1 for e in sympy.factorint(n).values())]
-    return tuple(pmap(lambda n: congruent_verdict(n, F), ns))
+    return tuple(congruent_verdict(n, F) for n in ns)
 
 
 def scan_new_congruent(n_max: int, F: FieldCtx) -> tuple[CongruentVerdict, ...]:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import sympy
 
-from ._par import pmap
-from .errors import InternalInconsistency, RamifiedFactor
-from .localsolve import HomSpace, everywhere_solvable
+from .errors import DomainError, InternalInconsistency, RamifiedFactor, ZeroCoefficient
+from .localsolve import HomSpace, all_solvable, everywhere_verdicts
 from .quadfield import (
     FieldCtx,
     PlaceKind,
@@ -37,8 +36,10 @@ class CurveSpec:
     F: FieldCtx
 
     def __post_init__(self) -> None:
-        assert self.b != 0
-        assert strip_fourth_powers(self.b) == self.b, "b must be fourth-power-free"
+        if self.b == 0:
+            raise ZeroCoefficient("b must be nonzero")
+        if strip_fourth_powers(self.b) != self.b:
+            raise DomainError(f"b must be fourth-power-free, got {self.b}")
 
 
 def curve_spec(b: int, F: FieldCtx) -> CurveSpec:
@@ -68,6 +69,8 @@ class SelmerReport:
     gens_phihat: tuple[GeneratorClass, ...]
     sel_rank2: int
     torsion_full: bool
+    # sorted reasons of every local verdict that decided a candidate, both sides
+    cases_fired: tuple[str, ...]
 
 
 def _reject_ramified(b: int, F: FieldCtx) -> None:
@@ -101,18 +104,22 @@ def _mask_rep(mask: int, gens: tuple[QuadInt, ...], F: FieldCtx) -> QuadInt:
     return rep
 
 
-def selmer_group(spec: CurveSpec, side: Side) -> tuple[int, tuple[GeneratorClass, ...]]:
-    """F_2-dimension and a canonical basis of the solvable classes."""
+def selmer_group(
+    spec: CurveSpec, side: Side
+) -> tuple[int, tuple[GeneratorClass, ...], frozenset[str]]:
+    """F_2-dimension and a canonical basis of the solvable classes, with the
+    reasons of the local verdicts that decided the candidates."""
     _reject_ramified(spec.b, spec.F)
     F = spec.F
     cands = selmer_candidates(spec.b, side, F)
 
-    def solvable(c) -> bool:
-        space = HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion)
-        return everywhere_solvable(space, F)
-
-    flags = pmap(solvable, cands)
-    masks = {c.mask for c, ok in zip(cands, flags) if ok}
+    masks: set[int] = set()
+    reasons: set[str] = set()
+    for c in cands:
+        verdicts = everywhere_verdicts(HomSpace.of_candidate(c, F), F)
+        reasons.update(v.reason for _, v in verdicts if v.reason)
+        if all_solvable(verdicts):
+            masks.add(c.mask)
 
     torsion_masks = {c.mask for c in cands if c.torsion}
     assert torsion_masks <= masks, "torsion classes must be locally solvable"
@@ -130,7 +137,7 @@ def selmer_group(spec: CurveSpec, side: Side) -> tuple[int, tuple[GeneratorClass
         GeneratorClass(rep=_mask_rep(v, gens, F), mask=v, torsion=v in torsion_masks)
         for v in basis
     )
-    return dim, out
+    return dim, out, frozenset(reasons)
 
 
 def full_two_torsion(b: int, D: int) -> bool:
@@ -141,8 +148,8 @@ def full_two_torsion(b: int, D: int) -> bool:
 
 
 def selmer_rank2(spec: CurveSpec) -> SelmerReport:
-    dim_phi, gens_phi = selmer_group(spec, Side.PHI)
-    dim_phihat, gens_phihat = selmer_group(spec, Side.PHIHAT)
+    dim_phi, gens_phi, cases_phi = selmer_group(spec, Side.PHI)
+    dim_phihat, gens_phihat, cases_phihat = selmer_group(spec, Side.PHIHAT)
     # one dimension per side is torsion bookkeeping, never rank
     rank = dim_phi + dim_phihat - 2
     if rank < 0:
@@ -158,6 +165,7 @@ def selmer_rank2(spec: CurveSpec) -> SelmerReport:
         gens_phihat=gens_phihat,
         sel_rank2=rank,
         torsion_full=full_two_torsion(spec.b, spec.F.D),
+        cases_fired=tuple(sorted(cases_phi | cases_phihat)),
     )
 
 

@@ -21,8 +21,9 @@ from functools import lru_cache
 import sympy
 
 from .charsums import ResidueField
-from .errors import EvenPlace, UnknownVerdict
+from .errors import DomainError, EvenPlace, UnknownVerdict, ZeroCoefficient
 from .quadfield import (
+    CandidatePair,
     FieldCtx,
     Place,
     PlaceKind,
@@ -56,7 +57,8 @@ class HomSpace:
     torsion_flag: bool = False
 
     def __post_init__(self) -> None:
-        assert not self.b1.is_zero and not self.b2.is_zero
+        if self.b1.is_zero or self.b2.is_zero:
+            raise ZeroCoefficient("homogeneous space needs b1*b2 != 0")
 
     @classmethod
     def make(
@@ -70,6 +72,11 @@ class HomSpace:
     ) -> "HomSpace":
         coerce = lambda x: F.of(x) if isinstance(x, int) else x
         return cls(a=coerce(a), b1=coerce(b1), b2=coerce(b2), side=side, torsion_flag=torsion)
+
+    @classmethod
+    def of_candidate(cls, c: CandidatePair, F: FieldCtx) -> "HomSpace":
+        """The space v^2 = b1*u^4 + b2*w^4 of one descent class."""
+        return cls(a=F.of(0), b1=c.b1, b2=c.b2, side=c.side, torsion_flag=c.torsion)
 
 
 class VerdictTag(Enum):
@@ -580,6 +587,8 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
     pi-adic depth, certifying squares by unit-part residues and roots by
     the Hensel criterion.  Independent of the predicate route.
     """
+    if max_precision is not None and max_precision < 1:
+        raise DomainError(f"search precision must be at least 1, got {max_precision}")
     F = _field_for_cw(pl.pi.cw)
     base = 7 if pl.kind is PlaceKind.TWO_ADIC else (12 if pl.kind is PlaceKind.RAMIFIED else 6)
     if max_precision is None:
@@ -651,13 +660,18 @@ def everywhere_verdicts(s: HomSpace, F: FieldCtx) -> tuple[tuple[Place, Verdict]
     return tuple(out)
 
 
-def everywhere_solvable(s: HomSpace, F: FieldCtx) -> bool:
-    """True iff the space is solvable at the 2-adic place and every odd
-    place of bad reduction (good odd places and the archimedean place are
-    automatically solvable)."""
-    for pl, verdict in everywhere_verdicts(s, F):
+def all_solvable(verdicts: tuple[tuple[Place, Verdict], ...]) -> bool:
+    """True iff no verdict is Insolvable; an Unknown met first raises."""
+    for pl, verdict in verdicts:
         if verdict.tag is VerdictTag.Unknown:
             raise UnknownVerdict(f"undecided at {pl}: {verdict.reason}")
         if verdict.tag is VerdictTag.Insolvable:
             return False
     return True
+
+
+def everywhere_solvable(s: HomSpace, F: FieldCtx) -> bool:
+    """True iff the space is solvable at the 2-adic place and every odd
+    place of bad reduction (good odd places and the archimedean place are
+    automatically solvable)."""
+    return all_solvable(everywhere_verdicts(s, F))

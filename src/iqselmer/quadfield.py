@@ -266,7 +266,8 @@ def _norm_equation_lattice(p: int, F: FieldCtx) -> QuadInt:
 
 
 def splitting_type(p: int, F: FieldCtx) -> SplitData:
-    assert sympy.isprime(p)
+    if not sympy.isprime(p):
+        raise InvalidModulus(f"{p} is not a prime")
     if p == 2:
         # D = 5 mod 8 for every supported field, so 2 is always inert.
         return SplitData(p=2, kind=PlaceKind.INERT)

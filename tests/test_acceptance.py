@@ -19,7 +19,6 @@ from math import gcd
 
 import sympy
 
-from iqselmer._par import pmap
 from iqselmer.charsums import chi, chi_exists, default_field, exception_scan
 from iqselmer.congruent import scan_new_congruent
 from iqselmer.descent import curve_spec, selmer_rank2
@@ -94,7 +93,7 @@ def test_criterion_1_inert_products_rank_formula():
                 return 2 * n
             return 2 * n - 1  # b = 5 mod 8
 
-        ranks = pmap(lambda b, F=F: selmer_rank2(curve_spec(b, F)).sel_rank2, bs)
+        ranks = [selmer_rank2(curve_spec(b, F)).sel_rank2 for b in bs]
         mismatches += [(D, b, got, formula(b)) for b, got in zip(bs, ranks) if got != formula(b)]
         curves += len(bs)
     dt = time.monotonic() - t0
@@ -130,7 +129,7 @@ def test_criterion_2_split_prime_rank_table():
         got_pos = selmer_rank2(curve_spec(p, F)).sel_rank2
         return F.D, p, got_neg, want_neg, got_pos, want_pos
 
-    rows = pmap(check, jobs)
+    rows = [check(job) for job in jobs]
     mismatches = [r for r in rows if r[2] != r[3] or r[4] != r[5]]
     detail = f"{2 * len(jobs)} curves E_p, E_-p for split p <= 300, six fields, trace character applied"
     if mismatches:
@@ -155,7 +154,7 @@ def test_criterion_3_negative_square_rank_formula():
             k = len(fac)
             jobs.append((F, n, 2 * k - 1 if n % 2 == 0 else 2 * k))
 
-    rows = pmap(lambda j: (j[0].D, j[1], j[2], selmer_rank2(curve_spec(-j[1] * j[1], j[0])).sel_rank2), jobs)
+    rows = [(F.D, n, want, selmer_rank2(curve_spec(-n * n, F)).sel_rank2) for F, n, want in jobs]
     mismatches = [r for r in rows if r[2] != r[3]]
     detail = f"{len(jobs)} curves b=-n^2, qualifying squarefree n <= 300, six fields"
     if mismatches:
@@ -199,10 +198,10 @@ def _quartic_exceptions_q9() -> tuple:
 
 def test_criterion_5_character_sum_scans():
     pps = [q for q in range(5, 200, 2) if len(sympy.factorint(q)) == 1]
-    deg2 = dict(pmap(lambda q: (q, exception_scan(2, q)), pps))
+    deg2 = {q: exception_scan(2, q) for q in pps}
     deg2_bad = {q: e for q, e in deg2.items() if e}
     q5_ok = exception_scan(4, 5) == ((1, 2), (2, 3), (3, 2), (4, 3))
-    deg4 = dict(pmap(lambda q: (q, exception_scan(4, q)), [q for q in pps if q >= 7]))
+    deg4 = {q: exception_scan(4, q) for q in pps if q >= 7}
     deg4_bad = {q: e for q, e in deg4.items() if e}
     expected_q9 = _quartic_exceptions_q9()
     deg4_exact = len(expected_q9) == 8 and deg4_bad == {9: expected_q9}
@@ -389,7 +388,7 @@ def test_criterion_6_oracle_agreement():
                             dis += 1
             return und, dis, checks
 
-        rows = pmap(sweep, bs)
+        rows = [sweep(b) for b in bs]
         undecided += sum(r[0] for r in rows)
         disagreements += sum(r[1] for r in rows)
         place_checks += sum(r[2] for r in rows)

@@ -26,7 +26,12 @@ def test_selrank_reference_output(capsys):
     assert payload["dim_phihat"] == 2
     assert payload["sel_rank2"] == 3
     assert payload["disc"] == -3
-    assert payload["cases_fired"] == sorted(payload["cases_fired"])
+    assert payload["cases_fired"] == [
+        "odd:square-unit-coefficient",
+        "two:matched-valuations",
+        "two:no-square-combination",
+        "two:square-unit-coefficient",
+    ]
 
 
 def test_selrank_generators(capsys):
@@ -145,6 +150,23 @@ def test_verify_charsum_degree4_known_exceptions(capsys):
     assert payload["pass"] is True
     assert payload["mismatches"] == []
     assert payload["exceptions"] == {"5": [[1, 2], [2, 3], [3, 2], [4, 3]], "9": want_q9}
+
+
+@pytest.mark.parametrize("qmax", ["243", "1000000000"])
+def test_verify_charsum_rejects_degree_above_4(capsys, qmax):
+    # 243 = 3^5 is the least odd prime power of degree 5; no scan may start
+    code, out = run_cli(capsys, "verify", "charsum", "--degree", "2", "--qmax", qmax)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_verify_oracle_rejects_nonpositive_precision(capsys, precision):
+    code, out = run_cli(
+        capsys, "verify", "oracle", "--disc", "-11", "--bmax", "3", "--precision", precision
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 def test_verify_trace_lemma(capsys):

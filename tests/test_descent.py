@@ -1,10 +1,16 @@
 """Selmer group assembly and the closed-form rank formulas."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import sympy
 
+import iqselmer
 from iqselmer.descent import (
     CurveSpec,
     closed_form_rank,
@@ -13,8 +19,16 @@ from iqselmer.descent import (
     selmer_group,
     selmer_rank2,
 )
-from iqselmer.errors import RamifiedFactor
-from iqselmer.quadfield import SUPPORTED_DISCS, Side, make_field, splitting_type, PlaceKind
+from iqselmer.errors import DomainError, RamifiedFactor, ZeroCoefficient
+from iqselmer.localsolve import HomSpace, everywhere_verdicts
+from iqselmer.quadfield import (
+    SUPPORTED_DISCS,
+    PlaceKind,
+    Side,
+    make_field,
+    selmer_candidates,
+    splitting_type,
+)
 
 F3 = make_field(-3)
 F11 = make_field(-11)
@@ -22,12 +36,12 @@ F11 = make_field(-11)
 
 def test_selmer_group_b17():
     spec = curve_spec(17, F3)
-    dim, gens = selmer_group(spec, Side.PHI)
+    dim, gens, _ = selmer_group(spec, Side.PHI)
     assert dim == 3
     assert [str(g) for g in gens] == ["-1", "2", "17"]
     assert not any(g.torsion for g in gens)
 
-    dim, gens = selmer_group(spec, Side.PHIHAT)
+    dim, gens, _ = selmer_group(spec, Side.PHIHAT)
     assert dim == 2
     assert [str(g) for g in gens] == ["-1", "17"]
     # the class of b itself is the torsion class on this side
@@ -35,7 +49,7 @@ def test_selmer_group_b17():
 
 
 def test_selmer_group_b5():
-    dim, _ = selmer_group(curve_spec(5, F3), Side.PHI)
+    dim, _, _ = selmer_group(curve_spec(5, F3), Side.PHI)
     assert dim == 2
 
 
@@ -108,8 +122,10 @@ def test_fourth_power_invariance():
 
 
 def test_curve_spec_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(DomainError):
         CurveSpec(16, F3)  # not fourth-power-free
+    with pytest.raises(ZeroCoefficient):
+        CurveSpec(0, F3)
     assert curve_spec(16, F3).b == 1
     assert curve_spec(-48, F3).b == -3
 
@@ -143,3 +159,79 @@ def test_square_shape_parity():
         rep = selmer_rank2(spec)
         assert rep.sel_rank2 == cf
         assert rep.sel_rank2 % 2 == (1 if n % 2 == 0 else 0)
+
+
+def _recounted_cases(b: int, F) -> tuple[str, ...]:
+    # a separate pass: every candidate space of both sides decided afresh
+    labels: set[str] = set()
+    for side in (Side.PHI, Side.PHIHAT):
+        for c in selmer_candidates(b, side, F):
+            space = HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion)
+            labels.update(v.reason for _, v in everywhere_verdicts(space, F) if v.reason)
+    return tuple(sorted(labels))
+
+
+def test_cases_fired_matches_a_separate_pass():
+    curves = [
+        (make_field(D), s * n)
+        for D in SUPPORTED_DISCS
+        for n in range(1, 61)
+        if all(e == 1 for e in sympy.factorint(n).values())
+        for s in (1, -1)
+    ]
+    curves += [(F3, 7 * 13 * 19), (F3, -7 * 13 * 19)]
+    checked = 0
+    for F, b in curves:
+        try:
+            rep = selmer_rank2(curve_spec(b, F))
+        except RamifiedFactor:
+            continue
+        assert rep.cases_fired == _recounted_cases(b, F), (b, F.D)
+        checked += 1
+    assert checked > 300
+
+    assert selmer_rank2(curve_spec(17, F3)).cases_fired == (
+        "odd:square-unit-coefficient",
+        "two:matched-valuations",
+        "two:no-square-combination",
+        "two:square-unit-coefficient",
+    )
+
+
+_OPTIMIZED_CHECKS = """
+from iqselmer.charsums import ResidueField
+from iqselmer.descent import CurveSpec
+from iqselmer.errors import DomainError, InvalidModulus, ZeroCoefficient
+from iqselmer.localsolve import HomSpace
+from iqselmer.quadfield import make_field, splitting_type
+
+F = make_field(-3)
+cases = [
+    (lambda: splitting_type(1, F), InvalidModulus),
+    (lambda: splitting_type(15, F), InvalidModulus),
+    (lambda: CurveSpec(272, F), DomainError),  # 272 = 2^4 * 17
+    (lambda: CurveSpec(0, F), ZeroCoefficient),
+    (lambda: ResidueField(3, 5), InvalidModulus),
+    (lambda: ResidueField(5, 2, modulus=(1, 0, 0, 2)), InvalidModulus),
+    (lambda: HomSpace.make(0, 3, F), ZeroCoefficient),
+]
+for i, (call, want) in enumerate(cases):
+    try:
+        call()
+    except want:
+        continue
+    raise SystemExit(f"case {i}: no {want.__name__}")
+"""
+
+
+def test_input_checks_survive_python_O():
+    # python -O strips assert statements; the input checks must not be asserts
+    src = str(Path(iqselmer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
