@@ -3,7 +3,8 @@
 Decides statements of the form "some x in F_q has chi(c*x^degree + d) = 1"
 by direct enumeration, and scans entire (c, d) ranges for exceptions.
 Also provides the residue-field model (including F_{p^2} with a custom
-quadratic modulus) consumed by the local solvability predicates.
+quadratic modulus), which the local solvability predicates use only at inert
+places; at split and ramified places they use Euler's criterion in F_p.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from .errors import InvalidModulus, ZeroCoefficient
+from .errors import DomainError, InvalidModulus, ZeroCoefficient
 from .quadfield import legendre_symbol
 
 Element = "int | tuple[int, ...]"
@@ -161,7 +162,8 @@ class ResidueField:
 @lru_cache(maxsize=None)
 def default_field(q: int) -> ResidueField:
     fac = sympy.factorint(q)
-    assert len(fac) == 1, f"{q} is not a prime power"
+    if q < 2 or len(fac) != 1:
+        raise InvalidModulus(f"{q} is not a prime power")
     ((p, k),) = fac.items()
     return ResidueField(p, k)
 
@@ -172,7 +174,8 @@ def chi(x, F: ResidueField) -> int:
 
 def chi_exists(c, d, degree: int, F: ResidueField) -> bool:
     """Whether some x in F_q satisfies chi(c*x^degree + d) = 1."""
-    assert degree in (2, 4)
+    if degree not in (2, 4):
+        raise DomainError(f"degree must be 2 or 4, got {degree}")
     c, d = F.coerce(c), F.coerce(d)
     if c == F.zero or d == F.zero:
         raise ZeroCoefficient(f"need c*d != 0, got c={c}, d={d}")
@@ -184,7 +187,8 @@ def chi_exists(c, d, degree: int, F: ResidueField) -> bool:
 
 def exception_scan(degree: int, q: int) -> tuple:
     """All (c, d) with c*d != 0 for which chi_exists fails, sorted."""
-    assert degree in (2, 4)
+    if degree not in (2, 4):
+        raise DomainError(f"degree must be 2 or 4, got {degree}")
     F = default_field(q)
     chi_table = {x: F.chi(x) for x in F.elements()}
     powers = {F.pow(x, degree) for x in F.elements()}

@@ -20,7 +20,7 @@ from .charsums import MAX_DEGREE, default_field, exception_scan
 from .congruent import CongruentVerdict, congruent_verdict, scan_new_congruent, scan_verdicts
 from .descent import closed_form_rank, curve_spec, selmer_rank2
 from .errors import DomainError
-from .localsolve import HomSpace, VerdictTag, everywhere_verdicts, oracle_search
+from .localsolve import HomSpace, VerdictTag, bad_places, everywhere_verdicts, oracle_search
 from .quadfield import (
     FieldCtx,
     Place,
@@ -29,6 +29,7 @@ from .quadfield import (
     selmer_candidates,
     make_field,
     splitting_type,
+    squarefree_factors,
 )
 from .residue2adic import (
     FOURTH_POWERS_MOD8,
@@ -49,10 +50,6 @@ def _field_name(F: FieldCtx) -> str:
 
 def _place_label(pl: Place) -> str:
     return f"{pl.kind.value}@{pl.p}"
-
-
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in sympy.factorint(n).values())
 
 
 def _candidate_spaces(b: int, F: FieldCtx) -> list[HomSpace]:
@@ -247,15 +244,17 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> int:
     F = make_field(args.disc)
-    bs = [s * n for n in range(1, args.bmax + 1) if _squarefree(n) for s in (1, -1)]
+    bs = [s * n for n in range(1, args.bmax + 1) if squarefree_factors(n) is not None for s in (1, -1)]
 
     def sweep(b: int) -> tuple[int, int, list[dict], list[dict]]:
         spaces = checks = 0
         undecided: list[dict] = []
         disagreements: list[dict] = []
-        for space in _candidate_spaces(b, F):
+        candidate_spaces = _candidate_spaces(b, F)
+        places = bad_places(candidate_spaces[0], F)  # those of every space of b
+        for space in candidate_spaces:
             spaces += 1
-            for pl, pred in everywhere_verdicts(space, F):
+            for pl, pred in everywhere_verdicts(space, F, places):
                 orc = oracle_search(space, pl, max_precision=args.precision)
                 checks += 1
                 item = {
@@ -306,9 +305,10 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> int:
     for p in split:
         specs += [("split-prime", p), ("split-prime", -p)]
     for n in range(1, args.pmax + 1):
-        if not _squarefree(n) or gcd(n, abs(F.D)) != 1:
+        fac = squarefree_factors(n)
+        if fac is None or gcd(n, abs(F.D)) != 1:
             continue
-        if any(splitting_type(f, F).kind is not PlaceKind.INERT for f in sympy.factorint(n) if f != 2):
+        if any(splitting_type(f, F).kind is not PlaceKind.INERT for f in fac if f != 2):
             continue
         specs.append(("negative-square", -n * n))
 

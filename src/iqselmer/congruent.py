@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-import sympy
-
 from .descent import closed_form_rank, curve_spec
 from .errors import NotSquarefree
-from .quadfield import FieldCtx, PlaceKind, legendre_symbol, splitting_type
+from .quadfield import FieldCtx, PlaceKind, legendre_symbol, splitting_type, squarefree_factors
 
 SHA_HYPOTHESIS = "Sha(E_n/K)[2^∞] finite"
 
@@ -68,11 +66,11 @@ class CongruentVerdict:
 
 
 def _checked_squarefree(n: int) -> dict[int, int]:
-    if n < 1:
-        raise NotSquarefree(f"n must be a positive squarefree integer, got {n}")
-    fac = sympy.factorint(n)
-    if any(e > 1 for e in fac.values()):
-        raise NotSquarefree(f"{n} is not squarefree")
+    fac = squarefree_factors(n)
+    if fac is None:
+        raise NotSquarefree(
+            f"n must be a positive squarefree integer, got {n}" if n < 1 else f"{n} is not squarefree"
+        )
     return fac
 
 
@@ -149,7 +147,7 @@ def congruent_verdict(n: int, F: FieldCtx) -> CongruentVerdict:
 
 def scan_verdicts(n_max: int, F: FieldCtx) -> tuple[CongruentVerdict, ...]:
     """Verdicts for every squarefree 1 <= n <= n_max, ascending."""
-    ns = [n for n in range(1, n_max + 1) if all(e == 1 for e in sympy.factorint(n).values())]
+    ns = [n for n in range(1, n_max + 1) if squarefree_factors(n) is not None]
     return tuple(congruent_verdict(n, F) for n in ns)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import sympy
 
 from .errors import DomainError, InternalInconsistency, RamifiedFactor, ZeroCoefficient
-from .localsolve import HomSpace, all_solvable, everywhere_verdicts
+from .localsolve import HomSpace, all_solvable, bad_places, everywhere_verdicts
 from .quadfield import (
     FieldCtx,
     PlaceKind,
@@ -73,12 +73,6 @@ class SelmerReport:
     cases_fired: tuple[str, ...]
 
 
-def _reject_ramified(b: int, F: FieldCtx) -> None:
-    for p in sorted(sympy.factorint(abs(b))):
-        if p != 2 and splitting_type(p, F).kind is PlaceKind.RAMIFIED:
-            raise RamifiedFactor(f"prime {p} dividing b ramifies in Q(sqrt({F.D}))")
-
-
 def _rref_basis(masks: set[int]) -> list[int]:
     """Reduced-echelon basis of a set of F_2 vectors (canonical for the span)."""
     pivots: dict[int, int] = {}  # leading bit -> vector
@@ -109,14 +103,17 @@ def selmer_group(
 ) -> tuple[int, tuple[GeneratorClass, ...], frozenset[str]]:
     """F_2-dimension and a canonical basis of the solvable classes, with the
     reasons of the local verdicts that decided the candidates."""
-    _reject_ramified(spec.b, spec.F)
     F = spec.F
     cands = selmer_candidates(spec.b, side, F)
+    places = bad_places(HomSpace.of_candidate(cands[0], F), F)  # those of every candidate
+    for pl in places:
+        if pl.kind is PlaceKind.RAMIFIED:
+            raise RamifiedFactor(f"prime {pl.p} dividing b ramifies in Q(sqrt({F.D}))")
 
     masks: set[int] = set()
     reasons: set[str] = set()
     for c in cands:
-        verdicts = everywhere_verdicts(HomSpace.of_candidate(c, F), F)
+        verdicts = everywhere_verdicts(HomSpace.of_candidate(c, F), F, places)
         reasons.update(v.reason for _, v in verdicts if v.reason)
         if all_solvable(verdicts):
             masks.add(c.mask)

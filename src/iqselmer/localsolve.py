@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 
 import sympy
 
@@ -125,31 +126,26 @@ def _inert_field(p: int, c: int) -> ResidueField:
     return ResidueField(p, 2, modulus=(1, -1, c))
 
 
-def _residue_elem(x: QuadInt, pl: Place):
-    if pl.kind is PlaceKind.INERT:
-        return (x.a % pl.p, x.b % pl.p)
-    return residue_image(x, pl)
-
-
-def _kappa(pl: Place) -> ResidueField:
-    if pl.kind is PlaceKind.INERT:
-        return _inert_field(pl.p, pl.pi.cw)
-    return ResidueField(pl.p)
-
-
 def _chi_unit(x: QuadInt, pl: Place) -> int:
     """Quadratic character of a unit on the residue field of pl."""
-    val = _kappa(pl).chi(_residue_elem(x, pl))
+    if pl.kind is PlaceKind.INERT:
+        val = _inert_field(pl.p, pl.pi.cw).chi((x.a, x.b))
+    else:
+        val = legendre_symbol(residue_image(x, pl), pl.p)
     assert val != 0, f"{x} is not a unit at {pl}"
     return val
 
 
 def _quartic_ratio_ok(beta1: QuadInt, beta2: QuadInt, pl: Place) -> bool:
     """Whether -beta2/beta1 is a fourth power in the residue field."""
-    F = _kappa(pl)
-    e1 = F.coerce(_residue_elem(beta1, pl))
-    e2 = F.coerce(_residue_elem(beta2, pl))
-    return F.is_fourth_power(F.neg(F.mul(e2, F.inv(e1))))
+    if pl.kind is PlaceKind.INERT:
+        K = _inert_field(pl.p, pl.pi.cw)
+        e1, e2 = K.coerce((beta1.a, beta1.b)), K.coerce((beta2.a, beta2.b))
+        return K.is_fourth_power(K.neg(K.mul(e2, K.inv(e1))))
+    # F_p^* is cyclic: r is a fourth power iff r^((p-1)/gcd(4, p-1)) = 1
+    p = pl.p
+    ratio = -residue_image(beta2, pl) * pow(residue_image(beta1, pl), -1, p)
+    return pow(ratio % p, (p - 1) // gcd(4, p - 1), p) == 1
 
 
 def predicate_odd_place(s: HomSpace, pl: Place) -> Verdict:
@@ -639,7 +635,8 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
 
 
 def bad_places(s: HomSpace, F: FieldCtx) -> tuple[Place, ...]:
-    """The 2-adic place plus every odd place dividing b1*b2."""
+    """The 2-adic place plus every odd place dividing b1*b2: the same list for
+    every candidate space of a curve, as b1*b2 is -4b or b up to powers of 2."""
     out = list(places_above(2, F))
     n = abs((s.b1 * s.b2).norm())
     for p in sorted(sympy.factorint(n)):
@@ -649,10 +646,13 @@ def bad_places(s: HomSpace, F: FieldCtx) -> tuple[Place, ...]:
     return tuple(out)
 
 
-def everywhere_verdicts(s: HomSpace, F: FieldCtx) -> tuple[tuple[Place, Verdict], ...]:
+def everywhere_verdicts(
+    s: HomSpace, F: FieldCtx, places: tuple[Place, ...]
+) -> tuple[tuple[Place, Verdict], ...]:
+    """The verdict at each of places, which must be bad_places(s, F)."""
     assert s.a.is_zero
     out = []
-    for pl in bad_places(s, F):
+    for pl in places:
         if pl.kind is PlaceKind.TWO_ADIC:
             out.append((pl, predicate_two_adic(s, F)))
         else:
@@ -674,4 +674,4 @@ def everywhere_solvable(s: HomSpace, F: FieldCtx) -> bool:
     """True iff the space is solvable at the 2-adic place and every odd
     place of bad reduction (good odd places and the archimedean place are
     automatically solvable)."""
-    return all_solvable(everywhere_verdicts(s, F))
+    return all_solvable(everywhere_verdicts(s, F, bad_places(s, F)))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from functools import lru_cache
 
 import sympy
 
-from .errors import InvalidModulus, NotSplit, UnsupportedField, ZeroCoefficient
+from .errors import DomainError, InvalidModulus, NotSplit, UnsupportedField, ZeroCoefficient
 
 SUPPORTED_DISCS = (-3, -11, -19, -43, -67, -163)
 
@@ -229,16 +229,6 @@ class SplitData:
     t_chars: tuple[int, int] | None = None
 
 
-def _norm_equation_exhaustive(p: int, F: FieldCtx) -> QuadInt:
-    bound = isqrt(4 * p) + 1
-    c = F.omega_norm
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if a * a + a * b + b * b * c == p:
-                return QuadInt(a, b, c)
-    raise AssertionError(f"norm equation unsolvable for split p={p}?")
-
-
 def _norm_equation_lattice(p: int, F: FieldCtx) -> QuadInt:
     # Lagrange-Gauss reduction on the ideal lattice (p, w - r) where r is a
     # root of x^2 - x + c mod p; the shortest vector generates the ideal.
@@ -265,7 +255,9 @@ def _norm_equation_lattice(p: int, F: FieldCtx) -> QuadInt:
     return v2
 
 
+@lru_cache(maxsize=None)
 def splitting_type(p: int, F: FieldCtx) -> SplitData:
+    """How p splits in O_K; decided once per (p, field) and cached."""
     if not sympy.isprime(p):
         raise InvalidModulus(f"{p} is not a prime")
     if p == 2:
@@ -274,7 +266,7 @@ def splitting_type(p: int, F: FieldCtx) -> SplitData:
     if F.D % p == 0:
         return SplitData(p=p, kind=PlaceKind.RAMIFIED)
     if legendre_symbol(F.D, p) == 1:
-        raw = _norm_equation_exhaustive(p, F) if p < 100 else _norm_equation_lattice(p, F)
+        raw = _norm_equation_lattice(p, F)
         # The two primes above p have the same trace multiset (conjugation
         # preserves traces), so the associate rule alone cannot distinguish
         # them; extend the a-coordinate tie-break across both so the choice
@@ -463,6 +455,14 @@ def strip_fourth_powers(b: int) -> int:
     return out
 
 
+def squarefree_factors(n: int) -> dict[int, int] | None:
+    """The prime factorization of n if n is a positive squarefree integer, else None."""
+    if n < 1:
+        return None
+    fac = sympy.factorint(n)
+    return fac if all(e == 1 for e in fac.values()) else None
+
+
 def _class_bits(n: int, gens: list[QuadInt], F: FieldCtx) -> int:
     """Bitmask of the class of rational n over the generator list."""
     unit, factors = factor_rational(n, F)
@@ -508,7 +508,8 @@ def selmer_candidates(b: int, side: Side, F: FieldCtx) -> tuple[CandidatePair, .
     b1*b2 = 16b with factors of 16 stripped from b2 (same class as
     b1*b2 = b, kept integral).
     """
-    assert b != 0 and strip_fourth_powers(b) == b, "b must be fourth-power-free"
+    if strip_fourth_powers(b) != b:
+        raise DomainError(f"b must be fourth-power-free, got {b}")
     gens = descent_generators(b, F)
 
     product = F.of(-4 * b) if side is Side.PHI else F.of(16 * b)

@@ -20,12 +20,13 @@ from iqselmer.descent import (
     selmer_rank2,
 )
 from iqselmer.errors import DomainError, RamifiedFactor, ZeroCoefficient
-from iqselmer.localsolve import HomSpace, everywhere_verdicts
+from iqselmer.localsolve import HomSpace, bad_places, everywhere_verdicts
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
     PlaceKind,
     Side,
     make_field,
+    places_above,
     selmer_candidates,
     splitting_type,
 )
@@ -162,12 +163,19 @@ def test_square_shape_parity():
 
 
 def _recounted_cases(b: int, F) -> tuple[str, ...]:
-    # a separate pass: every candidate space of both sides decided afresh
+    # a separate pass: every candidate space of both sides decided afresh,
+    # each at its own bad places, which must be the places of the curve: the
+    # 2-adic place and the places over the odd primes of b
+    curve_places = places_above(2, F) + tuple(
+        pl for p in sorted(sympy.factorint(abs(b))) if p != 2 for pl in places_above(p, F)
+    )
     labels: set[str] = set()
     for side in (Side.PHI, Side.PHIHAT):
         for c in selmer_candidates(b, side, F):
             space = HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion)
-            labels.update(v.reason for _, v in everywhere_verdicts(space, F) if v.reason)
+            places = bad_places(space, F)
+            assert places == curve_places, (b, F.D, side, c.mask)
+            labels.update(v.reason for _, v in everywhere_verdicts(space, F, places) if v.reason)
     return tuple(sorted(labels))
 
 
@@ -199,11 +207,11 @@ def test_cases_fired_matches_a_separate_pass():
 
 
 _OPTIMIZED_CHECKS = """
-from iqselmer.charsums import ResidueField
+from iqselmer.charsums import ResidueField, chi_exists, default_field, exception_scan
 from iqselmer.descent import CurveSpec
 from iqselmer.errors import DomainError, InvalidModulus, ZeroCoefficient
 from iqselmer.localsolve import HomSpace
-from iqselmer.quadfield import make_field, splitting_type
+from iqselmer.quadfield import Side, make_field, selmer_candidates, splitting_type
 
 F = make_field(-3)
 cases = [
@@ -214,6 +222,12 @@ cases = [
     (lambda: ResidueField(3, 5), InvalidModulus),
     (lambda: ResidueField(5, 2, modulus=(1, 0, 0, 2)), InvalidModulus),
     (lambda: HomSpace.make(0, 3, F), ZeroCoefficient),
+    (lambda: selmer_candidates(16, Side.PHI, F), DomainError),  # 16 = 2^4
+    (lambda: selmer_candidates(0, Side.PHI, F), ZeroCoefficient),
+    (lambda: exception_scan(3, 7), DomainError),
+    (lambda: chi_exists(1, 1, 3, default_field(7)), DomainError),
+    (lambda: default_field(12), InvalidModulus),
+    (lambda: default_field(1), InvalidModulus),
 ]
 for i, (call, want) in enumerate(cases):
     try:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import pytest
+import sympy
 
+from iqselmer.charsums import ResidueField
 from iqselmer.errors import EvenPlace, UnknownVerdict
 from iqselmer.localsolve import (
     HomSpace,
@@ -13,9 +15,11 @@ from iqselmer.localsolve import (
     oracle_search,
     predicate_odd_place,
     predicate_two_adic,
+    _chi_unit,
     _quartic_ratio_ok,
 )
 from iqselmer.quadfield import (
+    SUPPORTED_DISCS,
     PlaceKind,
     QuadInt,
     Side,
@@ -54,8 +58,6 @@ def test_odd_frozen_examples():
     # (p, u) with u a nonsquare unit of the residue field: valuations 1, 0
     # with a nonsquare unit coefficient -> insolvable
     u = ql(1, 2, F3)  # 1 + 2w; check it is a nonsquare unit at 17
-    from iqselmer.localsolve import _chi_unit
-
     assert _chi_unit(u, pl17) == -1
     s = HomSpace.make(17, u, F3)
     assert predicate_odd_place(s, pl17).tag is VerdictTag.Insolvable
@@ -78,8 +80,6 @@ def test_quartic_ratio_subcases():
     assert pl7.kind is PlaceKind.SPLIT and pl7.p % 4 == 3
     units = [ql(a, b, F3) for a in range(-3, 4) for b in range(-3, 4)]
     units = [x for x in units if not x.is_zero and x.norm() % 7 != 0]
-    from iqselmer.localsolve import _chi_unit
-
     for x in units[:20]:
         for y in units[:20]:
             lhs = _quartic_ratio_ok(x, y, pl7)
@@ -102,6 +102,28 @@ def test_quartic_ratio_subcases():
     for a in range(1, 11):
         for b in range(1, 11):
             assert _quartic_ratio_ok(F3.of(a), F3.of(b), pl11)
+
+
+def test_euler_characters_match_the_residue_field():
+    # Euler's criterion in F_p against the enumerated field F_p, for every
+    # nonzero residue at every split and ramified place with p < 60; units
+    # a + w hit each residue through the image of w
+    checked = 0
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        for p in sympy.primerange(3, 60):
+            for pl in places_above(p, F):
+                if pl.kind is PlaceKind.INERT:
+                    continue
+                K = ResidueField(p)
+                unit = {r: ql((r - pl.omega_image) % p, 1, F) for r in range(1, p)}
+                for r1, x in unit.items():
+                    assert _chi_unit(x, pl) == K.chi(r1), (D, p, r1)
+                    for r2, y in unit.items():
+                        want = K.is_fourth_power(K.neg(K.mul(r2, K.inv(r1))))
+                        assert _quartic_ratio_ok(x, y, pl) == want, (D, p, r1, r2)
+                checked += 1
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +485,7 @@ def test_bad_places_cover_divisors():
 
 def test_everywhere_verdicts_reasons():
     s = HomSpace.make(1, -4 * 17, F3)
-    vs = everywhere_verdicts(s, F3)
+    vs = everywhere_verdicts(s, F3, bad_places(s, F3))
     assert all(v.tag is VerdictTag.Solvable for _, v in vs)
     assert any(v.reason.startswith("two:") for _, v in vs)
     assert any(v.reason.startswith("odd:") for _, v in vs)

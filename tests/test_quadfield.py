@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,23 +145,34 @@ def test_canonical_associate_rule():
             assert alpha.trace() == traces[0]
 
 
-def test_norm_equation_large_prime_matches_exhaustive_rule():
-    # lattice route (p >= 100) must produce the same canonical generator the
-    # small-range exhaustive route would
-    from iqselmer.quadfield import _norm_equation_exhaustive
+def _norm_equation_exhaustive(p, F):
+    # reference solver: the first (a, b) in a box that holds every solution
+    bound = isqrt(4 * p) + 1
+    c = F.omega_norm
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if a * a + a * b + b * b * c == p:
+                return QuadInt(a, b, c)
+    raise AssertionError(f"norm equation unsolvable for split p={p}?")
 
+
+def test_norm_equation_matches_exhaustive_rule():
+    # the lattice solver must give the canonical generator that an exhaustive
+    # search gives, for every split p < 450: canonical associate, with ties
+    # between the two conjugates broken by the larger a-coordinate
     import sympy
 
     for D, F in FIELDS.items():
         count = 0
-        for p in sympy.primerange(100, 450):
+        for p in sympy.primerange(3, 450):
             if splitting_type(p, F).kind is not PlaceKind.SPLIT:
                 continue
-            got = splitting_type(p, F).alpha
-            want = canonical_associate(_norm_equation_exhaustive(p, F), F)
-            assert got == want
+            raw = _norm_equation_exhaustive(p, F)
+            cands = (canonical_associate(raw, F), canonical_associate(raw.conj(), F))
+            want = max(cands, key=lambda y: y.a)
+            assert splitting_type(p, F).alpha == want, (D, p)
             count += 1
-        assert count > 3
+        assert count > 15
 
 
 def test_trace_character():
