@@ -13,7 +13,7 @@ from enum import Enum
 from math import gcd
 
 from .descent import closed_form_rank, curve_spec
-from .errors import NotSquarefree
+from .errors import InternalInconsistency, NotSquarefree
 from .quadfield import FieldCtx, PlaceKind, legendre_symbol, splitting_type, squarefree_factors
 
 SHA_HYPOTHESIS = "Sha(E_n/K)[2^∞] finite"
@@ -125,7 +125,11 @@ def k_congruence(n: int, F: FieldCtx) -> tuple[KStatus, str | None, int | None, 
     k = len(fac)
     sel_rank = 2 * k - 1 if n % 2 == 0 else 2 * k
     # same rank via the general closed form for b = -n^2 (shape detection check)
-    assert closed_form_rank(curve_spec(-n * n, F)) == sel_rank
+    general = closed_form_rank(curve_spec(-n * n, F))
+    if general != sel_rank:
+        raise InternalInconsistency(
+            f"n={n}: Selmer rank {sel_rank} from the factor count, {general} from the closed form"
+        )
     if sel_rank % 2 == 1:
         return KStatus.CONDITIONAL_CONGRUENT, None, sel_rank, k
     return KStatus.UNDETERMINED, None, sel_rank, k

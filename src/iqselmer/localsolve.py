@@ -13,7 +13,6 @@ cannot decide", and the other route should be consulted.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -22,7 +21,13 @@ from math import gcd
 import sympy
 
 from .charsums import ResidueField
-from .errors import DomainError, EvenPlace, UnknownVerdict, ZeroCoefficient
+from .errors import (
+    DomainError,
+    EvenPlace,
+    InternalInconsistency,
+    UnknownVerdict,
+    ZeroCoefficient,
+)
 from .quadfield import (
     CandidatePair,
     FieldCtx,
@@ -339,7 +344,8 @@ class _SplitLocal:
             m = min(2 * m, M)
             pm = pl.p**m
             r = (r - (r * r - r + c) * pow((2 * r - 1) % pm, -1, pm)) % pm
-        assert (r * r - r + c) % self.mod == 0
+        if (r * r - r + c) % self.mod:
+            raise InternalInconsistency(f"Hensel lift of omega at {pl} is not a root")
         self.root = r
         self.zero = 0
 
@@ -351,6 +357,20 @@ class _SplitLocal:
 
     def mul(self, x: int, y: int) -> int:
         return (x * y) % self.mod
+
+    def quartic(self, c4: int, c2: int, c0: int):
+        """f(x) = c4*x^4 + c2*x^2 + c0 and f'(x), both mod p^M."""
+        mod = self.mod
+        d4, d2 = 4 * c4, 2 * c2
+
+        def f(x: int) -> int:
+            x2 = x * x
+            return (c4 * x2 * x2 + c2 * x2 + c0) % mod
+
+        def fprime(x: int) -> int:
+            return (d4 * x * x * x + d2 * x) % mod
+
+        return f, fprime
 
     def nu(self, x: int) -> int:
         if x == 0:
@@ -365,11 +385,12 @@ class _SplitLocal:
         return x // self.p**k
 
     def is_unit_square(self, u: int) -> bool:
-        return legendre_symbol(u % self.p, self.p) == 1
+        return pow(u % self.p, (self.p - 1) // 2, self.p) == 1
 
     def children(self, x0: int, j: int):
+        # x0 < p^j, so every child stays below p^(j+1) <= p^M
         step = self.p**j
-        return (self.add(x0, t * step) for t in range(self.p))
+        return [x0 + t * step for t in range(self.p)]
 
     def describe(self, x0: int, j: int) -> str:
         return f"{x0 % self.p ** j} mod {self.p}^{j}"
@@ -380,8 +401,9 @@ class _SplitLocal:
 
 
 class _PairLocal:
-    """Completion with residue pairs (x + y*omega): inert odd places and the
-    2-adic place (p = 2)."""
+    """Completion with residue pairs (x + y*omega) at an inert odd place."""
+
+    need = 1
 
     def __init__(self, pl: Place, F: FieldCtx, M: int):
         self.p = pl.p
@@ -390,9 +412,6 @@ class _PairLocal:
         self.M = M
         self.mod = pl.p**M
         self.zero = (0, 0)
-        self.need = 3 if pl.kind is PlaceKind.TWO_ADIC else 1
-        self.two_adic = pl.kind is PlaceKind.TWO_ADIC
-        self.pl = pl
 
     def coeff(self, x: QuadInt) -> Pair:
         return (x.a % self.mod, x.b % self.mod)
@@ -407,6 +426,35 @@ class _PairLocal:
             (a * cc - b * d * self.c) % self.mod,
             (a * d + b * cc + b * d) % self.mod,
         )
+
+    def quartic(self, c4: Pair, c2: Pair, c0: Pair):
+        """f(x) = c4*x^4 + c2*x^2 + c0 and f'(x) on pairs mod p^M, from
+        (a + b*w)^2 = (a^2 - c*b^2) + (2*a*b + b^2)*w as w^2 = w - c."""
+        mod, c = self.mod, self.c
+        a4, b4 = c4
+        a2, b2 = c2
+        a0, b0 = c0
+        d4a, d4b, d2a, d2b = 4 * a4, 4 * b4, 2 * a2, 2 * b2
+
+        def f(x: Pair) -> Pair:
+            a, b = x
+            s, t = a * a - c * b * b, b * (2 * a + b)  # x^2
+            u, v = s * s - c * t * t, t * (2 * s + t)  # x^4
+            return (
+                (a4 * u - c * b4 * v + a2 * s - c * b2 * t + a0) % mod,
+                (a4 * v + b4 * (u + v) + a2 * t + b2 * (s + t) + b0) % mod,
+            )
+
+        def fprime(x: Pair) -> Pair:
+            a, b = x
+            s, t = a * a - c * b * b, b * (2 * a + b)  # x^2
+            u, v = s * a - c * t * b, s * b + t * (a + b)  # x^3
+            return (
+                (d4a * u - c * d4b * v + d2a * a - c * d2b * b) % mod,
+                (d4a * v + d4b * (u + v) + d2a * b + d2b * (a + b)) % mod,
+            )
+
+        return f, fprime
 
     def nu(self, x: Pair) -> int:
         k = 0
@@ -424,20 +472,14 @@ class _PairLocal:
         return (x[0] // q, x[1] // q)
 
     def is_unit_square(self, u: Pair) -> bool:
-        if self.two_adic:
-            # convert the omega-pair to zeta coordinates; mod-8 data decides
-            return is_square_unit_mod8(
-                embed_mod8(QuadInt(u[0] % 32, u[1] % 32, self.c), self.F).pair
-            )
         return _inert_field(self.p, self.c).chi((u[0] % self.p, u[1] % self.p)) == 1
 
     def children(self, x0: Pair, j: int):
+        # both coordinates of x0 are below p^j, so those of every child stay
+        # below p^(j+1) <= p^M
         step = self.p**j
-        return (
-            ((x0[0] + s * step) % self.mod, (x0[1] + t * step) % self.mod)
-            for s in range(self.p)
-            for t in range(self.p)
-        )
+        a, b = x0
+        return [(a + s * step, b + t * step) for s in range(self.p) for t in range(self.p)]
 
     def describe(self, x0: Pair, j: int) -> str:
         q = self.p**j
@@ -445,6 +487,22 @@ class _PairLocal:
 
     def sqrt_hint(self, u: Pair) -> str | None:
         return None
+
+
+class _TwoAdicLocal(_PairLocal):
+    """The inert 2-adic place: residue pairs mod 2^M.  Units mod 8 decide
+    squares, so a value is certified only when known three binary digits
+    past its valuation (need = 3)."""
+
+    need = 3
+
+    def nu(self, x: Pair) -> int:
+        # the 2-adic valuation of a + b*w is the lowest set bit of a | b
+        m = x[0] | x[1]
+        return (m & -m).bit_length() - 1 if m else self.M
+
+    def is_unit_square(self, u: Pair) -> bool:
+        return (u[0] % 8, u[1] % 8) in _two_adic_unit_squares(self.F)
 
 
 class _RamifiedLocal:
@@ -473,6 +531,19 @@ class _RamifiedLocal:
     def mul(self, x: QuadInt, y: QuadInt) -> QuadInt:
         return x * y
 
+    def quartic(self, c4: QuadInt, c2: QuadInt, c0: QuadInt):
+        """f(x) = c4*x^4 + c2*x^2 + c0 and f'(x), exact in O_K."""
+        d4, d2 = 4 * c4, 2 * c2
+
+        def f(x: QuadInt) -> QuadInt:
+            x2 = x * x
+            return c4 * (x2 * x2) + c2 * x2 + c0
+
+        def fprime(x: QuadInt) -> QuadInt:
+            return d4 * (x * x * x) + d2 * x
+
+        return f, fprime
+
     def _vp(self, n: int) -> int:
         if n == 0:
             return self.M
@@ -493,11 +564,11 @@ class _RamifiedLocal:
         return x
 
     def is_unit_square(self, u: QuadInt) -> bool:
-        return legendre_symbol(residue_image(u, self.pl), self.p) == 1
+        return pow(residue_image(u, self.pl), (self.p - 1) // 2, self.p) == 1
 
     def children(self, x0: QuadInt, j: int):
         step = self._pi_pows[j]
-        return (x0 + t * step for t in range(self.p))
+        return [x0 + t * step for t in range(self.p)]
 
     def describe(self, x0: QuadInt, j: int) -> str:
         return f"{x0} mod pi^{j}"
@@ -507,11 +578,26 @@ class _RamifiedLocal:
         return None if r is None else str(r)
 
 
+@lru_cache(maxsize=None)
+def _two_adic_unit_squares(F: FieldCtx) -> frozenset[Pair]:
+    """The omega-pairs mod 8 whose image in Z2[zeta] is a unit square: the
+    embedding is linear, so mod-8 data decides.  One table per field: at most
+    six tables of 64 pairs."""
+    return frozenset(
+        (a, b)
+        for a in range(8)
+        for b in range(8)
+        if is_square_unit_mod8(embed_mod8(QuadInt(a, b, F.omega_norm), F).pair)
+    )
+
+
 def _local_adapter(pl: Place, F: FieldCtx, M: int):
     if pl.kind is PlaceKind.SPLIT:
         return _SplitLocal(pl, M)
     if pl.kind is PlaceKind.RAMIFIED:
         return _RamifiedLocal(pl, F, M)
+    if pl.kind is PlaceKind.TWO_ADIC:
+        return _TwoAdicLocal(pl, F, M)
     return _PairLocal(pl, F, M)
 
 
@@ -523,57 +609,43 @@ _CHART_EXHAUSTED = "exhausted"
 def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
     """Breadth-first refinement of residue classes x mod pi^j for
     f(x) = c4 x^4 + c2 x^2 + c0 (content already stripped; shift = removed
-    content, so total valuation = shift + nu(f)).
+    content, so total valuation = shift + nu(f)), one depth j at a time.
 
     Returns (_CHART_SOLVED, witness) / (_CHART_DEAD, None) /
     (_CHART_EXHAUSTED, live_count).
     """
-    mul, add, nu = adapter.mul, adapter.add, adapter.nu
-
-    def f(x):
-        x2 = mul(x, x)
-        x4 = mul(x2, x2)
-        return add(add(mul(c4, x4), mul(c2, x2)), c0)
-
-    def fprime(x):
-        x2 = mul(x, x)
-        x3 = mul(x2, x)
-        four = add(add(c4, c4), add(c4, c4))
-        two = add(c2, c2)
-        return add(mul(four, x3), mul(two, x))
-
-    queue = deque([(adapter.zero, 0)])
-    exhausted = 0
-    while queue:
-        x0, j = queue.popleft()
-        val = f(x0)
-        k = nu(val)
-        if k < j:
-            # the whole class has valuation exactly k
-            if j - k >= adapter.need:
-                if (shift + k) % 2 == 0 and adapter.is_unit_square(
-                    adapter.shift_down(val, k)
-                ):
-                    hint = adapter.sqrt_hint(adapter.shift_down(val, k)) if k == 0 else None
-                    wit = SolveWitness(
-                        u=adapter.describe(x0, j), w="1", v=hint, precision=j
-                    )
+    f, fprime = adapter.quartic(c4, c2, c0)
+    nu, need, children = adapter.nu, adapter.need, adapter.children
+    level = [adapter.zero]
+    for j in range(cap + 1):
+        live = []
+        for x0 in level:
+            val = f(x0)
+            k = nu(val)
+            if k < j:
+                # the whole class has valuation exactly k
+                if j - k >= need:
+                    if (shift + k) % 2 == 0 and adapter.is_unit_square(
+                        adapter.shift_down(val, k)
+                    ):
+                        hint = adapter.sqrt_hint(adapter.shift_down(val, k)) if k == 0 else None
+                        wit = SolveWitness(
+                            u=adapter.describe(x0, j), w="1", v=hint, precision=j
+                        )
+                        return _CHART_SOLVED, wit
+                    continue  # certified non-square for every member
+            else:
+                kd = nu(fprime(x0))
+                if kd < j and j > 2 * kd:
+                    # Hensel: f has an exact root in this class; v = 0 point
+                    wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
                     return _CHART_SOLVED, wit
-                continue  # certified non-square for every member
-        else:
-            kd = nu(fprime(x0))
-            if kd < j and j > 2 * kd:
-                # Hensel: f has an exact root in this class; v = 0 point
-                wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
-                return _CHART_SOLVED, wit
-        if j >= cap:
-            exhausted += 1
-            continue
-        for child in adapter.children(x0, j):
-            queue.append((child, j + 1))
-    if exhausted:
-        return _CHART_EXHAUSTED, exhausted
-    return _CHART_DEAD, None
+            live.append(x0)
+        if not live:
+            return _CHART_DEAD, None
+        if j == cap:
+            return _CHART_EXHAUSTED, len(live)
+        level = [child for x0 in live for child in children(x0, j)]
 
 
 def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> Verdict:
@@ -650,7 +722,8 @@ def everywhere_verdicts(
     s: HomSpace, F: FieldCtx, places: tuple[Place, ...]
 ) -> tuple[tuple[Place, Verdict], ...]:
     """The verdict at each of places, which must be bad_places(s, F)."""
-    assert s.a.is_zero
+    if not s.a.is_zero:
+        raise DomainError("everywhere_verdicts decides only spaces with a = 0")
     out = []
     for pl in places:
         if pl.kind is PlaceKind.TWO_ADIC:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 import sympy
 
+import iqselmer.congruent
 from iqselmer.congruent import (
     Criterion,
     KStatus,
@@ -16,7 +17,7 @@ from iqselmer.congruent import (
     scan_verdicts,
 )
 from iqselmer.descent import curve_spec, selmer_rank2
-from iqselmer.errors import NotSquarefree
+from iqselmer.errors import InternalInconsistency, NotSquarefree
 from iqselmer.quadfield import PlaceKind, legendre_symbol, make_field, splitting_type
 
 F3 = make_field(-3)
@@ -33,6 +34,14 @@ def test_q_criteria_frozen():
     assert q_noncongruence(2) == (QStatus.UNKNOWN, None)
     # 130 = 2*5*13: both 5 mod 8 -> Genocchi precedes Lagrange
     assert q_noncongruence(130) == (QStatus.NOT_CONGRUENT, Criterion.GENOCCHI)
+
+
+def test_k_congruence_self_check_raises(monkeypatch):
+    # the factor-count rank is checked against the general closed form
+    assert k_congruence(5, F3)[2] == 2
+    monkeypatch.setattr(iqselmer.congruent, "closed_form_rank", lambda spec: 3)
+    with pytest.raises(InternalInconsistency):
+        k_congruence(5, F3)
 
 
 def test_not_squarefree():

@@ -207,13 +207,25 @@ def test_cases_fired_matches_a_separate_pass():
 
 
 _OPTIMIZED_CHECKS = """
+import iqselmer.congruent as congruent
 from iqselmer.charsums import ResidueField, chi_exists, default_field, exception_scan
 from iqselmer.descent import CurveSpec
-from iqselmer.errors import DomainError, InvalidModulus, ZeroCoefficient
-from iqselmer.localsolve import HomSpace
+from iqselmer.errors import DomainError, InternalInconsistency, InvalidModulus, ZeroCoefficient
+from iqselmer.localsolve import HomSpace, everywhere_verdicts
 from iqselmer.quadfield import Side, make_field, selmer_candidates, splitting_type
 
 F = make_field(-3)
+
+
+def wrong_closed_form_rank():
+    saved = congruent.closed_form_rank
+    congruent.closed_form_rank = lambda spec: -1
+    try:
+        congruent.k_congruence(5, F)  # 5 is inert in Q(sqrt(-3))
+    finally:
+        congruent.closed_form_rank = saved
+
+
 cases = [
     (lambda: splitting_type(1, F), InvalidModulus),
     (lambda: splitting_type(15, F), InvalidModulus),
@@ -228,6 +240,8 @@ cases = [
     (lambda: chi_exists(1, 1, 3, default_field(7)), DomainError),
     (lambda: default_field(12), InvalidModulus),
     (lambda: default_field(1), InvalidModulus),
+    (lambda: everywhere_verdicts(HomSpace.make(1, 3, F, a=1), F, ()), DomainError),
+    (wrong_closed_form_rank, InternalInconsistency),
 ]
 for i, (call, want) in enumerate(cases):
     try:

@@ -1,13 +1,20 @@
 """Local solvability: predicates vs the independent residue-search oracle."""
 from __future__ import annotations
 
+import dataclasses
+import random
+from collections import deque
+
 import pytest
 import sympy
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from iqselmer import localsolve
 from iqselmer.charsums import ResidueField
-from iqselmer.errors import EvenPlace, UnknownVerdict
+from iqselmer.errors import DomainError, EvenPlace, InternalInconsistency, UnknownVerdict
 from iqselmer.localsolve import (
     HomSpace,
+    SolveWitness,
     VerdictTag,
     bad_places,
     everywhere_solvable,
@@ -17,6 +24,14 @@ from iqselmer.localsolve import (
     predicate_two_adic,
     _chi_unit,
     _quartic_ratio_ok,
+    _CHART_DEAD,
+    _CHART_EXHAUSTED,
+    _CHART_SOLVED,
+    _PairLocal,
+    _RamifiedLocal,
+    _SplitLocal,
+    _TwoAdicLocal,
+    _local_adapter,
 )
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
@@ -26,10 +41,13 @@ from iqselmer.quadfield import (
     legendre_symbol,
     make_field,
     places_above,
+    residue_image,
     selmer_candidates,
     splitting_type,
+    squarefree_factors,
     val_unit,
 )
+from iqselmer.residue2adic import embed_mod8, is_square_unit_mod8
 
 F3 = make_field(-3)
 F11 = make_field(-11)
@@ -377,6 +395,254 @@ def test_two_adic_sufficient_conditions_vs_oracle():
 
 
 # ---------------------------------------------------------------------------
+# the oracle kernel against the generic kernel it replaced
+
+
+def _reference_decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
+    """Breadth-first refinement of residue classes x mod pi^j for
+    f(x) = c4 x^4 + c2 x^2 + c0 (content already stripped; shift = removed
+    content, so total valuation = shift + nu(f)).
+
+    Returns (_CHART_SOLVED, witness) / (_CHART_DEAD, None) /
+    (_CHART_EXHAUSTED, live_count).
+    """
+    mul, add, nu = adapter.mul, adapter.add, adapter.nu
+
+    def f(x):
+        x2 = mul(x, x)
+        x4 = mul(x2, x2)
+        return add(add(mul(c4, x4), mul(c2, x2)), c0)
+
+    def fprime(x):
+        x2 = mul(x, x)
+        x3 = mul(x2, x)
+        four = add(add(c4, c4), add(c4, c4))
+        two = add(c2, c2)
+        return add(mul(four, x3), mul(two, x))
+
+    queue = deque([(adapter.zero, 0)])
+    exhausted = 0
+    while queue:
+        x0, j = queue.popleft()
+        val = f(x0)
+        k = nu(val)
+        if k < j:
+            # the whole class has valuation exactly k
+            if j - k >= adapter.need:
+                if (shift + k) % 2 == 0 and adapter.is_unit_square(
+                    adapter.shift_down(val, k)
+                ):
+                    hint = adapter.sqrt_hint(adapter.shift_down(val, k)) if k == 0 else None
+                    wit = SolveWitness(
+                        u=adapter.describe(x0, j), w="1", v=hint, precision=j
+                    )
+                    return _CHART_SOLVED, wit
+                continue  # certified non-square for every member
+        else:
+            kd = nu(fprime(x0))
+            if kd < j and j > 2 * kd:
+                # Hensel: f has an exact root in this class; v = 0 point
+                wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
+                return _CHART_SOLVED, wit
+        if j >= cap:
+            exhausted += 1
+            continue
+        for child in adapter.children(x0, j):
+            queue.append((child, j + 1))
+    if exhausted:
+        return _CHART_EXHAUSTED, exhausted
+    return _CHART_DEAD, None
+
+
+class _RefSplit(_SplitLocal):
+    def is_unit_square(self, u: int) -> bool:
+        return legendre_symbol(u % self.p, self.p) == 1
+
+    def children(self, x0: int, j: int):
+        step = self.p**j
+        return (self.add(x0, t * step) for t in range(self.p))
+
+
+class _RefPair(_PairLocal):
+    def children(self, x0, j: int):
+        step = self.p**j
+        return (
+            ((x0[0] + s * step) % self.mod, (x0[1] + t * step) % self.mod)
+            for s in range(self.p)
+            for t in range(self.p)
+        )
+
+
+class _RefTwoAdic(_RefPair, _TwoAdicLocal):
+    def nu(self, x) -> int:
+        return _PairLocal.nu(self, x)
+
+    def is_unit_square(self, u) -> bool:
+        # convert the omega-pair to zeta coordinates; mod-8 data decides
+        return is_square_unit_mod8(embed_mod8(QuadInt(u[0] % 32, u[1] % 32, self.c), self.F).pair)
+
+
+class _RefRamified(_RamifiedLocal):
+    def is_unit_square(self, u: QuadInt) -> bool:
+        return legendre_symbol(residue_image(u, self.pl), self.p) == 1
+
+
+# The adapters' methods as the replaced kernel used them: the valuation loop
+# at 2, the QuadInt embedding for 2-adic squares, Euler's criterion through
+# legendre_symbol, and children reduced mod p^M.  Ring arithmetic (add, mul)
+# and everything else are the adapters' own.
+_REFERENCE_ADAPTER = {
+    _SplitLocal: _RefSplit,
+    _PairLocal: _RefPair,
+    _TwoAdicLocal: _RefTwoAdic,
+    _RamifiedLocal: _RefRamified,
+}
+
+
+def _as_reference(adapter):
+    ref = object.__new__(_REFERENCE_ADAPTER[type(adapter)])
+    ref.__dict__ = adapter.__dict__
+    return ref
+
+
+def test_quartic_matches_ring_arithmetic():
+    # each adapter's quartic closures against its own add/mul, at 2, an
+    # inert, a split and the ramified place of two fields
+    rng = random.Random(9)
+    for F, ps in ((F3, (2, 3, 5, 7)), (F11, (2, 3, 7, 11))):
+        for p in ps:
+            for pl in places_above(p, F):
+                ad = _local_adapter(pl, F, 10)
+                mul, add = ad.mul, ad.add
+                for _ in range(25):
+                    c4, c2, c0, x = (
+                        ad.coeff(ql(rng.randint(-999, 999), rng.randint(-999, 999), F))
+                        for _ in range(4)
+                    )
+                    f, fprime = ad.quartic(c4, c2, c0)
+                    x2 = mul(x, x)
+                    assert f(x) == add(add(mul(c4, mul(x2, x2)), mul(c2, x2)), c0), (p, str(pl))
+                    four = add(add(c4, c4), add(c4, c4))
+                    assert fprime(x) == add(mul(four, mul(x2, x)), mul(add(c2, c2), x)), (p, str(pl))
+
+
+@pytest.fixture
+def chart_log(monkeypatch):
+    """Run every chart oracle_search decides through both kernels, assert the
+    same (status, witness or live count), and log (adapter kind, status)."""
+    fast = localsolve._decide_chart
+    log = []
+
+    def both(adapter, c4, c2, c0, shift, cap):
+        got = fast(adapter, c4, c2, c0, shift, cap)
+        want = _reference_decide_chart(_as_reference(adapter), c4, c2, c0, shift, cap)
+        assert got == want, (type(adapter).__name__, str(adapter.p), cap, got, want)
+        log.append((type(adapter).__name__, got[0]))
+        return got
+
+    monkeypatch.setattr(localsolve, "_decide_chart", both)
+    return log
+
+
+def test_oracle_kernel_matches_reference_on_candidate_spaces(chart_log):
+    # every candidate space of squarefree |b| <= 30, at every bad place of
+    # its curve, on all six fields
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        for n in range(1, 31):
+            if squarefree_factors(n) is None:
+                continue
+            for b in (n, -n):
+                for side in (Side.PHI, Side.PHIHAT):
+                    cands = selmer_candidates(b, side, F)
+                    places = bad_places(HomSpace.of_candidate(cands[0], F), F)
+                    for c in cands:
+                        for pl in places:
+                            oracle_search(HomSpace.of_candidate(c, F), pl)
+    kinds = {kind for kind, _ in chart_log}
+    assert kinds == {"_SplitLocal", "_PairLocal", "_TwoAdicLocal", "_RamifiedLocal"}
+    assert {status for _, status in chart_log} == {_CHART_SOLVED, _CHART_DEAD}
+    assert len(chart_log) > 20000
+
+
+def test_oracle_kernel_matches_reference_with_middle_term(chart_log):
+    # a != 0 at every place over p <= 13, the ramified places included, with
+    # a depth cap low enough that some charts end exhausted
+    for D in (-3, -11):
+        F = make_field(D)
+        for p in (2, 3, 5, 7, 11, 13):
+            for pl in places_above(p, F):
+                for b1 in (-3, 1, 2, 5):
+                    for b2 in (-2, 1, 3, 7):
+                        for a in (1, 2, 3, 6, p):
+                            oracle_search(HomSpace.make(b1, b2, F, a=a), pl, max_precision=3)
+    kinds = {kind for kind, _ in chart_log}
+    assert kinds == {"_SplitLocal", "_PairLocal", "_TwoAdicLocal", "_RamifiedLocal"}
+    assert {status for _, status in chart_log} == {_CHART_SOLVED, _CHART_DEAD, _CHART_EXHAUSTED}
+
+
+def test_oracle_kernel_matches_reference_when_precision_runs_out(chart_log):
+    # c*(x^2-1)^2 with c a nonsquare unit only certifies at its exact double
+    # roots, so both charts end exhausted and their live counts are compared:
+    # c = 3 at 2 and at the split 7, c = 1+w at the inert 5
+    c = ql(1, 1, F3)
+    assert _chi_unit(c, _place(5, F3)) == -1
+    for s, p in ((HomSpace.make(3, 3, F3, a=-6), 2), (HomSpace.make(3, 3, F3, a=-6), 7),
+                 (HomSpace.make(c, c, F3, a=-2 * c), 5)):
+        v = oracle_search(s, _place(p, F3), max_precision=4)
+        assert v.tag is VerdictTag.Unknown, p
+    assert [status for _, status in chart_log] == [_CHART_EXHAUSTED] * 6
+    assert [kind for kind, _ in chart_log[::2]] == ["_TwoAdicLocal", "_SplitLocal", "_PairLocal"]
+
+
+def test_split_adapter_rejects_a_wrong_omega_image():
+    pl = _place(7, F3)
+    wrong = dataclasses.replace(pl, omega_image=0)  # 0 is no root of x^2 - x + 1
+    with pytest.raises(InternalInconsistency):
+        _SplitLocal(wrong, 8)
+
+
+# ---------------------------------------------------------------------------
+# property: predicate == oracle on a = 0 spaces at odd places
+
+
+def _property_places():
+    out = []
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        for p in sympy.primerange(3, 200):
+            for pl in places_above(p, F):
+                if pl.kind is PlaceKind.SPLIT or (pl.kind is PlaceKind.INERT and p < 30):
+                    out.append((F, pl))
+    return out
+
+
+_PROPERTY_PLACES = _property_places()
+_coord = st.integers(-60, 60)
+# the oracle refines about q^|e1 - e2| residue classes before it decides
+_MAX_CLASSES = 50_000
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    st.sampled_from(_PROPERTY_PLACES),
+    _coord, _coord, st.integers(0, 3),
+    _coord, _coord, st.integers(0, 3),
+)
+def test_predicate_matches_oracle_on_unit_uniformiser_products(where, a1, b1, e1, a2, b2, e2):
+    F, pl = where
+    assume(pl.q ** abs(e1 - e2) <= _MAX_CLASSES)
+    u1, u2 = ql(a1, b1, F), ql(a2, b2, F)
+    assume(not u1.is_zero and not u2.is_zero)
+    assume(val_unit(u1, pl, F)[0] == 0 and val_unit(u2, pl, F)[0] == 0)
+    s = HomSpace.make(u1 * pl.pi**e1, u2 * pl.pi**e2, F)
+    pred = predicate_odd_place(s, pl)
+    orc = oracle_search(s, pl)
+    assert orc.tag is not VerdictTag.Unknown, orc.reason
+    assert pred.tag is orc.tag, (F.D, str(pl), str(s.b1), str(s.b2), pred.reason, orc.reason)
+
+
+# ---------------------------------------------------------------------------
 # pipeline wrapper
 
 
@@ -481,6 +747,14 @@ def test_bad_places_cover_divisors():
     assert pls[0].kind is PlaceKind.TWO_ADIC
     ps = sorted({pl.p for pl in pls})
     assert ps == [2, 3, 5, 17]
+
+
+def test_everywhere_verdicts_rejects_a_middle_term():
+    s = HomSpace.make(1, -4 * 17, F3, a=2)
+    with pytest.raises(DomainError):
+        everywhere_verdicts(s, F3, bad_places(s, F3))
+    with pytest.raises(DomainError):
+        everywhere_solvable(s, F3)
 
 
 def test_everywhere_verdicts_reasons():
