@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 
-from iqselmer.descent import closed_form_rank, curve_spec, selmer_rank2
+from iqselmer.descent import closed_form_rank, selmer_rank2
 from iqselmer.errors import RamifiedFactor
-from iqselmer.quadfield import SUPPORTED_DISCS, make_field
+from iqselmer.quadfield import SUPPORTED_DISCS, curve_spec, make_field
 
 
 def cell(b: int, D: int) -> str:

@@ -16,14 +16,15 @@ from .errors import (
 )
 from .quadfield import (
     SUPPORTED_DISCS,
+    CurveSpec,
     FieldCtx,
     Place,
     PlaceKind,
     QuadInt,
     Side,
     SplitData,
+    curve_spec,
     element_invariants,
-    factor_rational,
     legendre_symbol,
     make_field,
     places_above,

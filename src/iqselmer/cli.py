@@ -18,16 +18,18 @@ import sympy
 
 from .charsums import MAX_DEGREE, default_field, exception_scan
 from .congruent import CongruentVerdict, congruent_verdict, scan_new_congruent, scan_verdicts
-from .descent import closed_form_rank, curve_spec, selmer_rank2
-from .errors import DomainError
+from .descent import closed_form_rank, selmer_rank2
+from .errors import DomainError, InternalInconsistency
 from .localsolve import HomSpace, VerdictTag, bad_places, everywhere_verdicts, oracle_search
 from .quadfield import (
+    CurveSpec,
     FieldCtx,
     Place,
     PlaceKind,
     Side,
-    selmer_candidates,
+    curve_spec,
     make_field,
+    selmer_candidates,
     splitting_type,
     squarefree_factors,
 )
@@ -52,9 +54,9 @@ def _place_label(pl: Place) -> str:
     return f"{pl.kind.value}@{pl.p}"
 
 
-def _candidate_spaces(b: int, F: FieldCtx) -> list[HomSpace]:
+def _candidate_spaces(spec: CurveSpec) -> list[HomSpace]:
     sides = (Side.PHI, Side.PHIHAT)
-    return [HomSpace.of_candidate(c, F) for side in sides for c in selmer_candidates(b, side, F)]
+    return [HomSpace.of_candidate(c, spec.F) for side in sides for c in selmer_candidates(spec, side)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +252,9 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
         spaces = checks = 0
         undecided: list[dict] = []
         disagreements: list[dict] = []
-        candidate_spaces = _candidate_spaces(b, F)
-        places = bad_places(candidate_spaces[0], F)  # those of every space of b
-        for space in candidate_spaces:
+        spec = CurveSpec(b, F)
+        places = bad_places(spec.odd_primes, F)  # those of every space of b
+        for space in _candidate_spaces(spec):
             spaces += 1
             for pl, pred in everywhere_verdicts(space, F, places):
                 orc = oracle_search(space, pl, max_precision=args.precision)
@@ -316,7 +318,8 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> int:
         family, b = item
         spec = curve_spec(b, F)
         want = closed_form_rank(spec)
-        assert want is not None, (family, b)
+        if want is None:
+            raise InternalInconsistency(f"{family} curve b={b} has no closed form")
         return family, b, want, selmer_rank2(spec).sel_rank2
 
     rows = [check(item) for item in specs]

@@ -12,9 +12,16 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .descent import closed_form_rank, curve_spec
+from .descent import closed_form_rank
 from .errors import InternalInconsistency, NotSquarefree
-from .quadfield import FieldCtx, PlaceKind, legendre_symbol, splitting_type, squarefree_factors
+from .quadfield import (
+    FieldCtx,
+    PlaceKind,
+    curve_spec,
+    legendre_symbol,
+    splitting_type,
+    squarefree_factors,
+)
 
 SHA_HYPOTHESIS = "Sha(E_n/K)[2^∞] finite"
 

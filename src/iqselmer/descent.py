@@ -8,43 +8,21 @@ the 2-Selmer rank.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import sympy
 
-from .errors import DomainError, InternalInconsistency, RamifiedFactor, ZeroCoefficient
+from .errors import InternalInconsistency, RamifiedFactor
 from .localsolve import HomSpace, all_solvable, bad_places, everywhere_verdicts
 from .quadfield import (
-    FieldCtx,
+    CurveSpec,
     PlaceKind,
     QuadInt,
     Side,
-    descent_generators,
     selmer_candidates,
     splitting_type,
-    strip_fourth_powers,
     trace_character,
 )
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """E: y^2 = x^3 + b*x over Q(sqrt(D)), b nonzero and fourth-power-free."""
-
-    b: int
-    F: FieldCtx
-
-    def __post_init__(self) -> None:
-        if self.b == 0:
-            raise ZeroCoefficient("b must be nonzero")
-        if strip_fourth_powers(self.b) != self.b:
-            raise DomainError(f"b must be fourth-power-free, got {self.b}")
-
-
-def curve_spec(b: int, F: FieldCtx) -> CurveSpec:
-    """CurveSpec for b with fourth powers stripped (same curve class)."""
-    return CurveSpec(strip_fourth_powers(b), F)
 
 
 @dataclass(frozen=True)
@@ -90,25 +68,17 @@ def _rref_basis(masks: set[int]) -> list[int]:
     return [pivots[lead] for lead in sorted(pivots)]
 
 
-def _mask_rep(mask: int, gens: tuple[QuadInt, ...], F: FieldCtx) -> QuadInt:
-    rep = F.of(1)
-    for i, g in enumerate(gens):
-        if mask >> i & 1:
-            rep = rep * g
-    return rep
-
-
 def selmer_group(
     spec: CurveSpec, side: Side
 ) -> tuple[int, tuple[GeneratorClass, ...], frozenset[str]]:
     """F_2-dimension and a canonical basis of the solvable classes, with the
     reasons of the local verdicts that decided the candidates."""
     F = spec.F
-    cands = selmer_candidates(spec.b, side, F)
-    places = bad_places(HomSpace.of_candidate(cands[0], F), F)  # those of every candidate
-    for pl in places:
-        if pl.kind is PlaceKind.RAMIFIED:
-            raise RamifiedFactor(f"prime {pl.p} dividing b ramifies in Q(sqrt({F.D}))")
+    for p in spec.odd_primes:
+        if splitting_type(p, F).kind is PlaceKind.RAMIFIED:
+            raise RamifiedFactor(f"prime {p} dividing b ramifies in Q(sqrt({F.D}))")
+    cands = selmer_candidates(spec, side)
+    places = bad_places(spec.odd_primes, F)  # those of every candidate
 
     masks: set[int] = set()
     reasons: set[str] = set()
@@ -118,21 +88,22 @@ def selmer_group(
         if all_solvable(verdicts):
             masks.add(c.mask)
 
+    # self-checks that a predicate bug would break; raised, so python -O keeps them
     torsion_masks = {c.mask for c in cands if c.torsion}
-    assert torsion_masks <= masks, "torsion classes must be locally solvable"
+    if not torsion_masks <= masks:
+        raise InternalInconsistency("torsion classes must be locally solvable")
     # subgroup under multiplication modulo squares <=> xor-closure of masks
     for m1 in masks:
         for m2 in masks:
-            assert m1 ^ m2 in masks, f"classes not closed: {m1} * {m2}"
+            if m1 ^ m2 not in masks:
+                raise InternalInconsistency(f"classes not closed: {m1} * {m2}")
     dim = len(masks).bit_length() - 1
-    assert 1 << dim == len(masks)
-
-    gens = descent_generators(spec.b, F)
     basis = _rref_basis(masks)
-    assert len(basis) == dim
+    if 1 << dim != len(masks) or len(basis) != dim:
+        raise InternalInconsistency(f"{len(masks)} solvable classes with a basis of {len(basis)}")
+    # cands is in mask order, so cands[v].b1 is the product of v's generators
     out = tuple(
-        GeneratorClass(rep=_mask_rep(v, gens, F), mask=v, torsion=v in torsion_masks)
-        for v in basis
+        GeneratorClass(rep=cands[v].b1, mask=v, torsion=v in torsion_masks) for v in basis
     )
     return dim, out, frozenset(reasons)
 
@@ -171,25 +142,24 @@ def closed_form_rank(spec: CurveSpec) -> int | None:
 
     Covered shapes: +/- a product of distinct odd inert primes; +/- p with
     p an odd split prime; -n^2 with n squarefree, odd factors inert,
-    gcd(n, D) = 1.  Returns None otherwise.
+    gcd(n, D) = 1.  Returns None otherwise.  Reads the shape from the
+    factorization in spec.
     """
-    b, F = spec.b, spec.F
-    ab = abs(b)
-    fac = sympy.factorint(ab)
-    kinds = {p: splitting_type(p, F).kind for p in fac if p != 2}
+    b, F, factors = spec.b, spec.F, spec.factors
+    kinds = [splitting_type(p, F).kind for p in spec.odd_primes]
+    exponents = {e for _, e in factors}
+    all_inert = all(k is PlaceKind.INERT for k in kinds)
 
-    if fac and ab % 2 == 1 and all(e == 1 for e in fac.values()) and all(
-        k is PlaceKind.INERT for k in kinds.values()
-    ):
-        n = len(fac)
+    if factors and b % 2 == 1 and exponents == {1} and all_inert:
+        n = len(factors)
         if b % 8 == 1:
             return 2 * n + 1
         if b % 4 == 3:
             return 2 * n
         return 2 * n - 1  # b = 5 mod 8
 
-    if ab % 2 == 1 and fac == {ab: 1} and kinds.get(ab) is PlaceKind.SPLIT:
-        p, t = ab, trace_character(splitting_type(ab, F))
+    if b % 2 == 1 and len(factors) == 1 and exponents == {1} and kinds == [PlaceKind.SPLIT]:
+        p, t = abs(b), trace_character(splitting_type(abs(b), F))
         if b < 0:
             if p % 8 == 1:
                 return 3 + t
@@ -198,20 +168,10 @@ def closed_form_rank(spec: CurveSpec) -> int | None:
             return 4 + t
         return 2 + t if p % 8 == 5 else 2
 
-    if b < 0:
-        n, exact = sympy.integer_nthroot(ab, 2)
-        if exact:
-            nfac = sympy.factorint(n)
-            if (
-                all(e == 1 for e in nfac.values())
-                and math.gcd(int(n), abs(F.D)) == 1
-                and all(
-                    splitting_type(p, F).kind is PlaceKind.INERT
-                    for p in nfac
-                    if p != 2
-                )
-            ):
-                k = len(nfac)
-                return 2 * k if n % 2 else 2 * k - 1
+    # b = -n^2 with n squarefree: every exponent is 2; the one ramified
+    # prime |D| is not inert, so all_inert also gives gcd(n, D) = 1
+    if b < 0 and exponents <= {2} and all_inert:
+        k = len(factors)
+        return 2 * k if b % 2 else 2 * k - 1
 
     return None

@@ -13,6 +13,7 @@ cannot decide", and the other route should be consulted.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -188,42 +189,27 @@ def predicate_odd_place(s: HomSpace, pl: Place) -> Verdict:
     disc = s.a * s.a - 4 * b
     mu = None if disc.is_zero else val_unit(disc, pl, F)[0]
 
-    if pl.q == 3:
-        if mu is not None and mu > 0 and vb == 0:
-            ok = (
-                _chi_unit(beta1, pl) == 1
-                or _chi_unit(beta2, pl) == 1
-                or (mu % 2 == 0 and _chi_unit(alpha, pl) == -1)
-            )
-            reason = "odd3:degenerate-discriminant"
-            return _solvable(reason) if ok else _insolvable(reason)
-        if vb > 0 and va == 0:
-            ssum = s.b1 + s.b2
-            sum_unit = (not ssum.is_zero) and val_unit(ssum, pl, F)[0] == 0
-            ok = sum_unit or (
-                _chi_unit(alpha, pl) == 1 or v1 % 2 == 0 or v2 % 2 == 0
-            )
-            reason = "odd3:vanishing-product"
-            return _solvable(reason) if ok else _insolvable(reason)
-        return _unknown("odd:outside-criteria")
-
+    # the same criteria at q = 3 and q > 3; only the reason's prefix differs
+    tag = "odd3" if pl.q == 3 else "odd"
     if mu is not None and mu > 0 and vb == 0:
-        # reduction has a double root; q > 3
-        if _chi_unit(beta1, pl) == 1 or _chi_unit(beta2, pl) == 1:
-            return _solvable("odd:degenerate-discriminant")
+        # the reduction has a double root; at q = 3, p = 3 and the target is -1
         target = 1 if (pl.p % 8 in (5, 7) and pl.kind is PlaceKind.SPLIT) else -1
-        ok = mu % 2 == 0 and _chi_unit(alpha, pl) == target
-        reason = "odd:degenerate-discriminant"
+        ok = (
+            _chi_unit(beta1, pl) == 1
+            or _chi_unit(beta2, pl) == 1
+            or (mu % 2 == 0 and _chi_unit(alpha, pl) == target)
+        )
+        reason = f"{tag}:degenerate-discriminant"
         return _solvable(reason) if ok else _insolvable(reason)
 
     if vb > 0 and va == 0:
-        # constant term of the reduction vanishes; q > 3
+        # constant term of the reduction vanishes
         ssum = s.b1 + s.b2
         sum_unit = (not ssum.is_zero) and val_unit(ssum, pl, F)[0] == 0
         ok = sum_unit or (
             _chi_unit(alpha, pl) == 1 or v1 % 2 == 0 or v2 % 2 == 0
         )
-        reason = "odd:vanishing-product"
+        reason = f"{tag}:vanishing-product"
         return _solvable(reason) if ok else _insolvable(reason)
 
     return _unknown("odd:outside-criteria")
@@ -706,15 +692,19 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
 # Pipeline helpers
 
 
-def bad_places(s: HomSpace, F: FieldCtx) -> tuple[Place, ...]:
-    """The 2-adic place plus every odd place dividing b1*b2: the same list for
-    every candidate space of a curve, as b1*b2 is -4b or b up to powers of 2."""
+def bad_places(odd_primes: Iterable[int] | HomSpace, F: FieldCtx) -> tuple[Place, ...]:
+    """The 2-adic place, then the places above each odd prime, ascending.
+
+    For a curve the primes are CurveSpec.odd_primes, and the list is the same
+    for every candidate space, as b1*b2 is -4b or b up to powers of 2.  A
+    lone HomSpace stands for the primes of N(b1*b2), factored here.
+    """
+    if isinstance(odd_primes, HomSpace):
+        odd_primes = sympy.factorint(abs((odd_primes.b1 * odd_primes.b2).norm()))
     out = list(places_above(2, F))
-    n = abs((s.b1 * s.b2).norm())
-    for p in sorted(sympy.factorint(n)):
-        if p == 2:
-            continue
-        out.extend(places_above(p, F))
+    for p in sorted(odd_primes):
+        if p != 2:
+            out.extend(places_above(p, F))
     return tuple(out)
 
 

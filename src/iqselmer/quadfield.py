@@ -8,6 +8,7 @@ arithmetic on coordinates in the basis {1, w}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -101,10 +102,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_unit(self) -> bool:
         return self.norm() == 1
 
@@ -116,12 +113,6 @@ class QuadInt:
         num = self * o.conj()
         assert num.a % n == 0 and num.b % n == 0, f"{self} not divisible by {o}"
         return QuadInt(num.a // n, num.b // n, self.cw)
-
-    def divisible_by(self, other: "QuadInt | int") -> bool:
-        o = self._coerce(other)
-        n = o.norm()
-        num = self * o.conj()
-        return num.a % n == 0 and num.b % n == 0
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -294,39 +285,6 @@ def trace_character(s: SplitData) -> int:
     return legendre_symbol(s.t, s.p)
 
 
-def factor_rational(n: int, F: FieldCtx) -> tuple[int, tuple[tuple[QuadInt, int], ...]]:
-    """Factor a rational integer into prime elements of O_K.
-
-    Returns (unit, ((prime_element, exponent), ...)) with unit in {1, -1} and
-    n = unit * prod(pi^e) exactly.  Inert primes stay rational, split primes
-    contribute their conjugate pair, and the ramified prime |D| contributes
-    sqrt(D)^2 per rational power (soaking a -1 into the unit).
-    """
-    if n == 0:
-        raise ZeroCoefficient("cannot factor 0")
-    unit = 1 if n > 0 else -1
-    factors: list[tuple[QuadInt, int]] = []
-    for p, e in sorted(sympy.factorint(abs(n)).items()):
-        data = splitting_type(p, F)
-        if data.kind is PlaceKind.SPLIT:
-            # alpha * conj(alpha) = p exactly, so the pair needs no unit fixup
-            assert data.alpha is not None
-            factors.append((data.alpha, e))
-            factors.append((data.alpha.conj(), e))
-        elif data.kind is PlaceKind.RAMIFIED:
-            # p = -sqrt(D)^2
-            factors.append((F.sqrt_disc(), 2 * e))
-            if e % 2:
-                unit = -unit
-        else:
-            factors.append((F.of(p), e))
-    check = F.of(unit)
-    for pi, e in factors:
-        check = check * pi**e
-    assert check == F.of(n)
-    return unit, tuple(factors)
-
-
 @dataclass(frozen=True)
 class Place:
     """A finite place of K: residue field size q and uniformizer pi.
@@ -341,10 +299,6 @@ class Place:
     q: int
     pi: QuadInt
     omega_image: int | None = None
-
-    @property
-    def is_two_adic(self) -> bool:
-        return self.kind is PlaceKind.TWO_ADIC
 
     def __str__(self) -> str:
         if self.kind is PlaceKind.SPLIT:
@@ -446,13 +400,6 @@ class CandidatePair:
     mask: int = 0
 
 
-def strip_fourth_powers(b: int) -> int:
-    if b == 0:
-        raise ZeroCoefficient("b must be nonzero")
-    out = 1 if b > 0 else -1
-    for p, e in sympy.factorint(abs(b)).items():
-        out *= p ** (e % 4)
-    return out
 
 
 def squarefree_factors(n: int) -> dict[int, int] | None:
@@ -463,32 +410,53 @@ def squarefree_factors(n: int) -> dict[int, int] | None:
     return fac if all(e == 1 for e in fac.values()) else None
 
 
-def _class_bits(n: int, gens: list[QuadInt], F: FieldCtx) -> int:
-    """Bitmask of the class of rational n over the generator list."""
-    unit, factors = factor_rational(n, F)
-    mask = 0
-    if unit < 0:
-        mask |= 1  # gens[0] is -1 by construction
-    lookup = {(g.a, g.b): i for i, g in enumerate(gens)}
-    for pi, e in factors:
-        if e % 2 == 0:
-            continue
-        i = lookup.get((pi.a, pi.b))
-        assert i is not None, f"prime element {pi} outside generator span"
-        mask ^= 1 << i
-    return mask
+@dataclass(frozen=True)
+class CurveSpec:
+    """E: y^2 = x^3 + b*x over Q(sqrt(D)), b nonzero and fourth-power-free.
+
+    factors is the factorization of |b|, (prime, exponent) pairs with
+    ascending primes.  Generators, candidates, torsion classes, bad places
+    and closed forms all read it, so b is factored once per curve; when it
+    is left out it is computed here.
+    """
+
+    b: int
+    F: FieldCtx
+    factors: tuple[tuple[int, int], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.b == 0:
+            raise ZeroCoefficient("b must be nonzero")
+        if self.factors is None:
+            object.__setattr__(self, "factors", tuple(sorted(sympy.factorint(abs(self.b)).items())))
+        elif math.prod(p**e for p, e in self.factors) != abs(self.b):
+            raise DomainError(f"factors {self.factors} do not multiply to |b| = {abs(self.b)}")
+        if any(e >= 4 for _, e in self.factors):
+            raise DomainError(f"b must be fourth-power-free, got {self.b}")
+
+    @property
+    def odd_primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.factors if p != 2)
 
 
-def descent_generators(b: int, F: FieldCtx) -> tuple[QuadInt, ...]:
-    """Multiplicative generators of the candidate class group for b.
+def curve_spec(b: int, F: FieldCtx) -> CurveSpec:
+    """CurveSpec for b with fourth powers stripped (same curve class)."""
+    if b == 0:
+        raise ZeroCoefficient("b must be nonzero")
+    factors = tuple((p, e % 4) for p, e in sorted(sympy.factorint(abs(b)).items()) if e % 4)
+    reduced = math.prod(p**e for p, e in factors)
+    return CurveSpec(reduced if b > 0 else -reduced, F, factors)
+
+
+def descent_generators(spec: CurveSpec) -> tuple[QuadInt, ...]:
+    """Multiplicative generators of the candidate class group of the curve.
 
     -1 and 2 first, then one or two prime elements per ascending odd prime
     divisor of b (two for split primes: conjugates).
     """
+    F = spec.F
     gens: list[QuadInt] = [F.of(-1), F.of(2)]
-    for p in sorted(sympy.factorint(abs(b))):
-        if p == 2:
-            continue
+    for p in spec.odd_primes:
         data = splitting_type(p, F)
         if data.kind is PlaceKind.SPLIT:
             assert data.alpha is not None
@@ -501,19 +469,46 @@ def descent_generators(b: int, F: FieldCtx) -> tuple[QuadInt, ...]:
     return tuple(gens)
 
 
-def selmer_candidates(b: int, side: Side, F: FieldCtx) -> tuple[CandidatePair, ...]:
-    """All 2^(g+1) candidate classes for the given side.
+def torsion_mask(spec: CurveSpec, side: Side) -> int:
+    """Generator mask of the class of -4b (side PHI) or of b (side PHIHAT).
+
+    Read from exponent parities in the order of descent_generators: the sign
+    is bit 0 and 2 is bit 1; an odd power of a split prime sets the bits of
+    both conjugates, and one of an inert prime its single bit.  A ramified
+    p = -sqrt(D)^2 is a square up to sign, so it only flips the sign.
+    """
+    negative = spec.b > 0 if side is Side.PHI else spec.b < 0
+    mask, bit = 0, 2
+    for p, e in spec.factors:
+        if p == 2:
+            mask |= (e % 2) << 1
+            continue
+        kind = splitting_type(p, spec.F).kind
+        width = 2 if kind is PlaceKind.SPLIT else 1
+        if e % 2 and kind is PlaceKind.RAMIFIED:
+            negative = not negative
+        elif e % 2:
+            mask |= ((1 << width) - 1) << bit
+        bit += width
+    return mask | int(negative)
+
+
+def selmer_candidates(
+    spec: CurveSpec | int, side: Side, F: FieldCtx | None = None
+) -> tuple[CandidatePair, ...]:
+    """All 2^(g+1) candidate classes for the given side, in mask order.
 
     Side PHI pairs satisfy b1*b2 = -4b; side PHIHAT pairs satisfy
     b1*b2 = 16b with factors of 16 stripped from b2 (same class as
-    b1*b2 = b, kept integral).
+    b1*b2 = b, kept integral).  An int b with its field F stands for
+    CurveSpec(b, F), the form the benchmark worker calls.
     """
-    if strip_fourth_powers(b) != b:
-        raise DomainError(f"b must be fourth-power-free, got {b}")
-    gens = descent_generators(b, F)
-
-    product = F.of(-4 * b) if side is Side.PHI else F.of(16 * b)
-    torsion_mask = _class_bits(-4 * b if side is Side.PHI else b, gens, F)
+    if not isinstance(spec, CurveSpec):
+        spec = CurveSpec(spec, F)
+    F = spec.F
+    gens = descent_generators(spec)
+    product = F.of(-4 * spec.b) if side is Side.PHI else F.of(16 * spec.b)
+    tmask = torsion_mask(spec, side)
 
     out = []
     for mask in range(1 << len(gens)):
@@ -525,7 +520,5 @@ def selmer_candidates(b: int, side: Side, F: FieldCtx) -> tuple[CandidatePair, .
         if side is Side.PHIHAT:
             while b2.a % 16 == 0 and b2.b % 16 == 0:
                 b2 = QuadInt(b2.a // 16, b2.b // 16, b2.cw)
-        out.append(
-            CandidatePair(b1, b2, side, torsion=mask in (0, torsion_mask), mask=mask)
-        )
+        out.append(CandidatePair(b1, b2, side, torsion=mask in (0, tmask), mask=mask))
     return tuple(out)

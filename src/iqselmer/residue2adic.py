@@ -4,15 +4,14 @@ Every supported discriminant has D = 5 mod 8, so 2 is inert and the
 completion at 2 is the unramified quadratic extension Q2(zeta), where
 zeta is a primitive cube root of unity satisfying z^2 + z + 1 = 0.
 Squareness of a unit is decided by its residue mod 8; the homogeneous-
-space machinery additionally needs squares mod 32 and mod 4, so the
-tables for all three moduli live here.
+space machinery additionally needs squares mod 32, so the tables for
+both moduli live here.
 
 Elements are coordinate pairs (c0, c1) meaning c0 + c1*zeta.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from .quadfield import FieldCtx, QuadInt
@@ -113,23 +112,6 @@ UNIT_SQUARES_MOD8 = FOURTH_POWERS_MOD8 | frozenset(
 )
 
 
-class SquareClass(Enum):
-    FourthPower = "fourth_power"
-    SquareNotFourth = "square_not_fourth"
-    NonSquare = "non_square"
-    NonUnit = "non_unit"
-
-
-def square_class_mod8(r: R8Elem) -> SquareClass:
-    if not r.is_unit():
-        return SquareClass.NonUnit
-    if r in FOURTH_POWERS_MOD8:
-        return SquareClass.FourthPower
-    if r in UNIT_SQUARES_MOD8:
-        return SquareClass.SquareNotFourth
-    return SquareClass.NonSquare
-
-
 def is_square_unit_mod8(x: Pair) -> bool:
     """Unit-square test on a coordinate pair (any lift; reduced mod 8 here)."""
     return R8Elem(x[0], x[1]) in UNIT_SQUARES_MOD8
@@ -143,11 +125,6 @@ def unit_squares_mod32() -> frozenset[Pair]:
             if is_unit_pair((a, b)):
                 out.add(zmul((a, b), (a, b), 32))
     return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def unit_squares_mod4() -> frozenset[Pair]:
-    return frozenset({(1, 0), (0, 1), (3, 3)})
 
 
 def embed_pair(x: QuadInt | int, F: FieldCtx, m: int) -> Pair:

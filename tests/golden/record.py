@@ -1,0 +1,55 @@
+"""Record the CLI outputs that tests/test_cli.py compares byte for byte.
+
+Run from the repository root, on a tree whose outputs are known to be right:
+
+    PYTHONPATH=src python tests/golden/record.py
+
+It rewrites tests/golden/cli_outputs.json with the exit code and stdout of
+every command below, on all six fields.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from iqselmer.cli import main
+from iqselmer.quadfield import SUPPORTED_DISCS
+
+GOLDEN = Path(__file__).with_name("cli_outputs.json")
+
+# inert, split and ramified primes of every field, powers of 2, negative
+# squares, a fourth power to strip and products of three split primes
+SELRANK_B = (1, -1, 2, -4, 12, 17, -5, 13, -25, 15, -33, 405, -1729, 6916)
+
+
+def commands() -> list[list[str]]:
+    out: list[list[str]] = []
+    for D in SUPPORTED_DISCS:
+        d = str(D)
+        out += [["selrank", "--disc", d, "--b", str(b), "--show-generators"] for b in SELRANK_B]
+        out.append(["congruent", "scan", "--disc", d, "--max", "600"])
+        out.append(["verify", "theorems", "--disc", d, "--pmax", "60"])
+        out.append(["verify", "oracle", "--disc", d, "--bmax", "8"])
+    out.append(["selrank", "--disc", "-3", "--b", "-1729", "--table", "--show-generators"])
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def record() -> None:
+    rows = []
+    for argv in commands():
+        code, out = run(argv)
+        rows.append({"argv": argv, "exit": code, "stdout": out})
+    GOLDEN.write_text(json.dumps(rows, indent=0) + "\n")
+
+
+if __name__ == "__main__":
+    record()

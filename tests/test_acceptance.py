@@ -21,7 +21,7 @@ import sympy
 
 from iqselmer.charsums import chi, chi_exists, default_field, exception_scan
 from iqselmer.congruent import scan_new_congruent
-from iqselmer.descent import curve_spec, selmer_rank2
+from iqselmer.descent import selmer_rank2
 from iqselmer.localsolve import (
     HomSpace,
     VerdictTag,
@@ -32,10 +32,12 @@ from iqselmer.localsolve import (
 )
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
+    CurveSpec,
     FieldCtx,
     Place,
     PlaceKind,
     Side,
+    curve_spec,
     legendre_symbol,
     make_field,
     places_above,
@@ -372,10 +374,12 @@ def test_criterion_6_oracle_agreement():
 
         def sweep(b: int, F: FieldCtx = F):
             und = dis = checks = 0
+            spec = CurveSpec(b, F)
+            places = bad_places(spec.odd_primes, F)
             for side in (Side.PHI, Side.PHIHAT):
-                for c in selmer_candidates(b, side, F):
+                for c in selmer_candidates(spec, side):
                     space = HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion)
-                    for pl in bad_places(space, F):
+                    for pl in places:
                         if pl.kind is PlaceKind.TWO_ADIC:
                             pred = predicate_two_adic(space, F)
                         else:

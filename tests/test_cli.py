@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from iqselmer.charsums import chi, default_field
 from iqselmer.cli import main
 from iqselmer.congruent import SHA_HYPOTHESIS
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -195,16 +198,17 @@ def test_verify_theorems_small_sweep(capsys):
     assert payload["curves_checked"] == sum(payload["families"].values())
 
 
-def test_output_deterministic_across_thread_counts(capsys, monkeypatch):
-    monkeypatch.setenv("SELMER_THREADS", "1")
-    _, serial = run_cli(capsys, "verify", "theorems", "--disc", "-3", "--pmax", "30")
-    monkeypatch.setenv("SELMER_THREADS", "4")
-    _, threaded = run_cli(capsys, "verify", "theorems", "--disc", "-3", "--pmax", "30")
-    assert serial == threaded
-    _, scan1 = run_cli(capsys, "congruent", "scan", "--disc", "-3", "--max", "60")
-    monkeypatch.setenv("SELMER_THREADS", "1")
-    _, scan2 = run_cli(capsys, "congruent", "scan", "--disc", "-3", "--max", "60")
-    assert scan1 == scan2
+def test_outputs_match_golden_file(capsys):
+    # exit code and stdout of every recorded command, byte for byte; the
+    # commands and how to re-record them are in tests/golden/record.py
+    rows = json.loads(GOLDEN.read_text())
+    assert len(rows) == 103
+    changed = []
+    for row in rows:
+        code, out = run_cli(capsys, *row["argv"])
+        if (code, out) != (row["exit"], row["stdout"]):
+            changed.append(" ".join(row["argv"]))
+    assert not changed, changed
 
 
 def test_console_entry_point_end_to_end():

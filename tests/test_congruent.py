@@ -16,9 +16,9 @@ from iqselmer.congruent import (
     scan_new_congruent,
     scan_verdicts,
 )
-from iqselmer.descent import curve_spec, selmer_rank2
+from iqselmer.descent import selmer_rank2
 from iqselmer.errors import InternalInconsistency, NotSquarefree
-from iqselmer.quadfield import PlaceKind, legendre_symbol, make_field, splitting_type
+from iqselmer.quadfield import PlaceKind, curve_spec, legendre_symbol, make_field, splitting_type
 
 F3 = make_field(-3)
 F11 = make_field(-11)

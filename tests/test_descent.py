@@ -12,9 +12,7 @@ import sympy
 
 import iqselmer
 from iqselmer.descent import (
-    CurveSpec,
     closed_form_rank,
-    curve_spec,
     full_two_torsion,
     selmer_group,
     selmer_rank2,
@@ -23,8 +21,10 @@ from iqselmer.errors import DomainError, RamifiedFactor, ZeroCoefficient
 from iqselmer.localsolve import HomSpace, bad_places, everywhere_verdicts
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
+    CurveSpec,
     PlaceKind,
     Side,
+    curve_spec,
     make_field,
     places_above,
     selmer_candidates,
@@ -171,9 +171,9 @@ def _recounted_cases(b: int, F) -> tuple[str, ...]:
     )
     labels: set[str] = set()
     for side in (Side.PHI, Side.PHIHAT):
-        for c in selmer_candidates(b, side, F):
+        for c in selmer_candidates(CurveSpec(b, F), side):
             space = HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion)
-            places = bad_places(space, F)
+            places = bad_places(space, F)  # from N(b1*b2), not from the curve
             assert places == curve_places, (b, F.D, side, c.mask)
             labels.update(v.reason for _, v in everywhere_verdicts(space, F, places) if v.reason)
     return tuple(sorted(labels))
@@ -207,12 +207,13 @@ def test_cases_fired_matches_a_separate_pass():
 
 
 _OPTIMIZED_CHECKS = """
+import iqselmer.cli as cli
 import iqselmer.congruent as congruent
+import iqselmer.descent as descent
 from iqselmer.charsums import ResidueField, chi_exists, default_field, exception_scan
-from iqselmer.descent import CurveSpec
 from iqselmer.errors import DomainError, InternalInconsistency, InvalidModulus, ZeroCoefficient
 from iqselmer.localsolve import HomSpace, everywhere_verdicts
-from iqselmer.quadfield import Side, make_field, selmer_candidates, splitting_type
+from iqselmer.quadfield import CurveSpec, Side, make_field, splitting_type
 
 F = make_field(-3)
 
@@ -226,22 +227,51 @@ def wrong_closed_form_rank():
         congruent.closed_form_rank = saved
 
 
+def unclosed_selmer_group():
+    # b = 17, side phi: candidates come in mask order and the torsion masks
+    # are 0 and 5 (-4b = -1 * 2^2 * 17); keep masks 0, 1 and 5, so 1 ^ 5 = 4
+    # is missing and the xor-closure check must fire
+    order = iter(range(8))
+    saved = descent.all_solvable
+    descent.all_solvable = lambda verdicts: next(order) in (0, 1, 5)
+    try:
+        descent.selmer_group(CurveSpec(17, F), Side.PHI)
+    except InternalInconsistency as exc:
+        if "not closed" not in str(exc):
+            raise SystemExit(f"another self-check fired: {exc}")
+        raise
+    finally:
+        descent.all_solvable = saved
+
+
+def theorems_without_closed_form():
+    saved = cli.closed_form_rank
+    cli.closed_form_rank = lambda spec: None
+    try:
+        args = cli._build_parser().parse_args(["verify", "theorems", "--disc", "-3", "--pmax", "5"])
+        args.fn(args)
+    finally:
+        cli.closed_form_rank = saved
+
+
 cases = [
     (lambda: splitting_type(1, F), InvalidModulus),
     (lambda: splitting_type(15, F), InvalidModulus),
     (lambda: CurveSpec(272, F), DomainError),  # 272 = 2^4 * 17
+    (lambda: CurveSpec(-405, F, ((3, 4), (5, 1))), DomainError),  # 405 = 3^4 * 5
+    (lambda: CurveSpec(15, F, ((3, 1),)), DomainError),  # factors of 3, not 15
     (lambda: CurveSpec(0, F), ZeroCoefficient),
     (lambda: ResidueField(3, 5), InvalidModulus),
     (lambda: ResidueField(5, 2, modulus=(1, 0, 0, 2)), InvalidModulus),
     (lambda: HomSpace.make(0, 3, F), ZeroCoefficient),
-    (lambda: selmer_candidates(16, Side.PHI, F), DomainError),  # 16 = 2^4
-    (lambda: selmer_candidates(0, Side.PHI, F), ZeroCoefficient),
     (lambda: exception_scan(3, 7), DomainError),
     (lambda: chi_exists(1, 1, 3, default_field(7)), DomainError),
     (lambda: default_field(12), InvalidModulus),
     (lambda: default_field(1), InvalidModulus),
     (lambda: everywhere_verdicts(HomSpace.make(1, 3, F, a=1), F, ()), DomainError),
     (wrong_closed_form_rank, InternalInconsistency),
+    (unclosed_selmer_group, InternalInconsistency),
+    (theorems_without_closed_form, InternalInconsistency),
 ]
 for i, (call, want) in enumerate(cases):
     try:
@@ -263,3 +293,28 @@ def test_input_checks_survive_python_O():
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_selrank_factors_b_once(monkeypatch, capsys):
+    from iqselmer.cli import main
+
+    calls: list[int] = []
+    real = sympy.factorint
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factorint", counting)
+    # split, inert and 2-power factors, a fourth power to strip, a ramified error
+    for b in (17, -6916, 16 * 91, -25, 15):
+        calls.clear()
+        main(["selrank", "--disc", "-3", "--b", str(b), "--show-generators"])
+        assert calls == [abs(b)], b
+    capsys.readouterr()
+
+    specs = [curve_spec(b, make_field(D)) for D in SUPPORTED_DISCS for b in (-1, 13, -25, 17, -4, 91)]
+    calls.clear()
+    for spec in specs:
+        closed_form_rank(spec)
+    assert calls == []

@@ -35,6 +35,7 @@ from iqselmer.localsolve import (
 )
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
+    CurveSpec,
     PlaceKind,
     QuadInt,
     Side,
@@ -259,10 +260,12 @@ AGREEMENT_RANGES = [
 def test_predicate_oracle_agreement(F, bs):
     checked = 0
     for b in bs:
+        spec = CurveSpec(b, F)
+        places = bad_places(spec.odd_primes, F)
         for side in (Side.PHI, Side.PHIHAT):
-            for cand in selmer_candidates(b, side, F):
+            for cand in selmer_candidates(spec, side):
                 s = HomSpace(a=F.of(0), b1=cand.b1, b2=cand.b2, side=side, torsion_flag=cand.torsion)
-                for pl in bad_places(s, F):
+                for pl in places:
                     if pl.kind is PlaceKind.TWO_ADIC:
                         pred = predicate_two_adic(s, F)
                     else:
@@ -309,9 +312,10 @@ def _hypothesis_grid(F, p, kind_filter=None):
 
 
 def test_degenerate_discriminant_criterion_vs_oracle():
-    # places with residue fields F_13 (split, 13 = 5 mod 8), F_289 (inert)
+    # places with residue fields F_13 (split, 13 = 5 mod 8), F_289 (inert),
+    # and F_9 (inert 3), where the reasons keep the "odd:" prefix
     hits = 0
-    for p, F in ((13, F3), (17, F3), (7, F3)):
+    for p, F in ((13, F3), (17, F3), (7, F3), (3, F19)):
         pl = _place(p, F)
         for _, s in _hypothesis_grid(F, p):
             disc = s.a * s.a - 4 * s.b1 * s.b2
@@ -331,7 +335,7 @@ def test_degenerate_discriminant_criterion_vs_oracle():
 
 def test_vanishing_product_criterion_vs_oracle():
     hits = 0
-    for p, F in ((5, F3), (17, F3)):
+    for p, F in ((5, F3), (17, F3), (3, F19)):  # F_9 at inert 3 keeps "odd:"
         pl = _place(p, F)
         for b1 in (5 * 1, 5 * 2, 17, -17, 5 * 5 * 3):
             for b2 in (1, 2, 3, -1, 5, 10):
@@ -553,10 +557,10 @@ def test_oracle_kernel_matches_reference_on_candidate_spaces(chart_log):
             if squarefree_factors(n) is None:
                 continue
             for b in (n, -n):
+                spec = CurveSpec(b, F)
+                places = bad_places(spec.odd_primes, F)
                 for side in (Side.PHI, Side.PHIHAT):
-                    cands = selmer_candidates(b, side, F)
-                    places = bad_places(HomSpace.of_candidate(cands[0], F), F)
-                    for c in cands:
+                    for c in selmer_candidates(spec, side):
                         for pl in places:
                             oracle_search(HomSpace.of_candidate(c, F), pl)
     kinds = {kind for kind, _ in chart_log}
@@ -724,14 +728,14 @@ def test_charpoly_tables_match_decision_procedure():
 def test_everywhere_solvable_examples():
     # torsion pairs always pass
     for b in (17, -5, 13):
-        cands = selmer_candidates(b, Side.PHIHAT, F3)
+        cands = selmer_candidates(CurveSpec(b, F3), Side.PHIHAT)
         tors = [c for c in cands if c.torsion and not c.b1.is_unit()]
         for c in tors:
             s = HomSpace(a=F3.of(0), b1=c.b1, b2=c.b2, side=Side.PHIHAT, torsion_flag=True)
             assert everywhere_solvable(s, F3)
 
     # the (-1, 68) member of the b = 17 descent is everywhere solvable
-    cands = selmer_candidates(17, Side.PHI, F3)
+    cands = selmer_candidates(CurveSpec(17, F3), Side.PHI)
     c = next(c for c in cands if c.b1 == F3.of(-1))
     s = HomSpace(a=F3.of(0), b1=c.b1, b2=c.b2, side=Side.PHI, torsion_flag=c.torsion)
     assert everywhere_solvable(s, F3)
@@ -742,11 +746,11 @@ def test_everywhere_solvable_examples():
 
 
 def test_bad_places_cover_divisors():
-    s = HomSpace.make(17, -4 * 15, F3)
-    pls = bad_places(s, F3)
+    pls = bad_places((17, 3, 5), F3)
     assert pls[0].kind is PlaceKind.TWO_ADIC
-    ps = sorted({pl.p for pl in pls})
-    assert ps == [2, 3, 5, 17]
+    assert [pl.p for pl in pls] == [2, 3, 5, 17]
+    # a lone space stands for the odd primes of N(b1*b2)
+    assert bad_places(HomSpace.make(17, -4 * 15, F3), F3) == pls
 
 
 def test_everywhere_verdicts_rejects_a_middle_term():

@@ -2,27 +2,33 @@
 from __future__ import annotations
 
 import random
-from math import isqrt
+import functools
+from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from iqselmer.errors import InvalidModulus, NotSplit, UnsupportedField
+from iqselmer.errors import DomainError, InvalidModulus, NotSplit, UnsupportedField, ZeroCoefficient
+from iqselmer.descent import closed_form_rank
+from iqselmer.localsolve import HomSpace, bad_places
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
+    CurveSpec,
     PlaceKind,
     QuadInt,
     Side,
     canonical_associate,
+    curve_spec,
+    descent_generators,
     element_invariants,
-    factor_rational,
     legendre_symbol,
     make_field,
     places_above,
     residue_image,
     selmer_candidates,
     splitting_type,
-    strip_fourth_powers,
+    torsion_mask,
     trace_character,
     val_unit,
 )
@@ -204,6 +210,125 @@ def test_trace_character_associate_invariance_p1mod4():
             assert vals == {trace_character(data)}
 
 
+# ---------------------------------------------------------------------------
+# Reference: the descent's factoring before CurveSpec carried the
+# factorization.  Each function factors b again; the differential tests below
+# compare CurveSpec's readings against these.
+
+
+@functools.lru_cache(maxsize=None)
+def _factorint(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+def factor_rational(n: int, F) -> tuple[int, tuple[tuple[QuadInt, int], ...]]:
+    """n = unit * prod(pi^e) over prime elements of O_K, unit in {1, -1}:
+    inert primes stay rational, split primes give their conjugate pair, and
+    the ramified prime |D| gives sqrt(D)^2 per power, soaking -1 into the unit."""
+    unit = 1 if n > 0 else -1
+    factors: list[tuple[QuadInt, int]] = []
+    for p, e in _factorint(abs(n)):
+        data = splitting_type(p, F)
+        if data.kind is PlaceKind.SPLIT:
+            factors.append((data.alpha, e))
+            factors.append((data.alpha.conj(), e))
+        elif data.kind is PlaceKind.RAMIFIED:
+            factors.append((F.sqrt_disc(), 2 * e))  # p = -sqrt(D)^2
+            if e % 2:
+                unit = -unit
+        else:
+            factors.append((F.of(p), e))
+    return unit, tuple(factors)
+
+
+def _class_bits(n: int, gens, F) -> int:
+    """Bitmask of the class of rational n over the generator list."""
+    unit, factors = factor_rational(n, F)
+    mask = 1 if unit < 0 else 0  # gens[0] is -1
+    lookup = {(g.a, g.b): i for i, g in enumerate(gens)}
+    for pi, e in factors:
+        if e % 2:
+            mask ^= 1 << lookup[(pi.a, pi.b)]
+    return mask
+
+
+def _ref_generators(b: int, F) -> tuple[QuadInt, ...]:
+    gens = [F.of(-1), F.of(2)]
+    for p, _ in _factorint(abs(b)):
+        if p == 2:
+            continue
+        data = splitting_type(p, F)
+        if data.kind is PlaceKind.SPLIT:
+            gens += [data.alpha, data.alpha.conj()]
+        elif data.kind is PlaceKind.RAMIFIED:
+            gens.append(F.sqrt_disc())
+        else:
+            gens.append(F.of(p))
+    return tuple(gens)
+
+
+def _ref_candidates(b: int, side: Side, F) -> list[tuple]:
+    gens = _ref_generators(b, F)
+    product = F.of(-4 * b) if side is Side.PHI else F.of(16 * b)
+    tmask = _class_bits(-4 * b if side is Side.PHI else b, gens, F)
+    out = []
+    for mask in range(1 << len(gens)):
+        b1 = F.of(1)
+        for i, g in enumerate(gens):
+            if mask >> i & 1:
+                b1 = b1 * g
+        b2 = product.divide_exact(b1)
+        while side is Side.PHIHAT and b2.a % 16 == 0 and b2.b % 16 == 0:
+            b2 = QuadInt(b2.a // 16, b2.b // 16, b2.cw)
+        out.append((b1, b2, mask in (0, tmask), mask))
+    return out
+
+
+def _ref_bad_places(b: int, F):
+    # the odd primes of N(b1*b2) for the candidate (1, -4b)
+    out = list(places_above(2, F))
+    for p, _ in _factorint(abs(F.of(-4 * b).norm())):
+        if p != 2:
+            out.extend(places_above(p, F))
+    return tuple(out)
+
+
+def _ref_closed_form_rank(b: int, F) -> int | None:
+    ab = abs(b)
+    fac = dict(_factorint(ab))
+    kinds = {p: splitting_type(p, F).kind for p in fac if p != 2}
+    if fac and ab % 2 == 1 and all(e == 1 for e in fac.values()) and all(
+        k is PlaceKind.INERT for k in kinds.values()
+    ):
+        n = len(fac)
+        if b % 8 == 1:
+            return 2 * n + 1
+        if b % 4 == 3:
+            return 2 * n
+        return 2 * n - 1
+    if ab % 2 == 1 and fac == {ab: 1} and kinds.get(ab) is PlaceKind.SPLIT:
+        p, t = ab, trace_character(splitting_type(ab, F))
+        if b < 0:
+            if p % 8 == 1:
+                return 3 + t
+            return 2 if p % 8 == 5 else 1
+        if p % 8 == 1:
+            return 4 + t
+        return 2 + t if p % 8 == 5 else 2
+    if b < 0:
+        n, exact = sympy.integer_nthroot(ab, 2)
+        if exact:
+            nfac = dict(_factorint(int(n)))
+            if (
+                all(e == 1 for e in nfac.values())
+                and gcd(int(n), abs(F.D)) == 1
+                and all(splitting_type(p, F).kind is PlaceKind.INERT for p in nfac if p != 2)
+            ):
+                k = len(nfac)
+                return 2 * k if n % 2 else 2 * k - 1
+    return None
+
+
 def test_factor_rational():
     unit, factors = factor_rational(12, F3)
     # 12 = unit * 2^2 * sqrt(-3)^2 with unit absorbing 3 = -sqrt(-3)^2
@@ -280,15 +405,17 @@ def test_val_unit_roundtrip(n, D):
 
 
 def test_strip_fourth_powers():
-    assert strip_fourth_powers(16) == 1
-    assert strip_fourth_powers(32) == 2
-    assert strip_fourth_powers(-81 * 5) == -5
-    assert strip_fourth_powers(-16) == -1
-    assert strip_fourth_powers(17) == 17
+    assert curve_spec(16, F3).b == 1
+    assert curve_spec(32, F3).b == 2
+    assert curve_spec(-81 * 5, F3).b == -5
+    assert curve_spec(-16, F3).b == -1
+    assert curve_spec(17, F3).b == 17
+    assert curve_spec(-81 * 5, F3).factors == ((5, 1),)
+    assert curve_spec(2**7 * 3**5 * 7, F3).factors == ((2, 3), (3, 1), (7, 1))
 
 
 def test_selmer_candidates_b17():
-    cands = selmer_candidates(17, Side.PHI, F3)
+    cands = selmer_candidates(CurveSpec(17, F3), Side.PHI)
     assert len(cands) == 8  # 2^(g+1) with g = 2 distinct prime classes
     b1s = sorted(c.b1.a for c in cands)
     assert b1s == sorted([1, -1, 2, -2, 17, -17, 34, -34])
@@ -298,7 +425,7 @@ def test_selmer_candidates_b17():
     tor = {c.b1.a for c in cands if c.torsion}
     assert tor == {1, -17}
 
-    cands_hat = selmer_candidates(17, Side.PHIHAT, F3)
+    cands_hat = selmer_candidates(CurveSpec(17, F3), Side.PHIHAT)
     assert len(cands_hat) == 8
     assert sorted(c.b1.a for c in cands_hat) == sorted([1, -1, 2, -2, 17, -17, 34, -34])
     for c in cands_hat:
@@ -312,7 +439,7 @@ def test_selmer_candidates_b17():
 
 
 def test_selmer_candidates_split_13():
-    cands = selmer_candidates(13, Side.PHIHAT, F3)
+    cands = selmer_candidates(CurveSpec(13, F3), Side.PHIHAT)
     assert len(cands) == 16  # gens -1, 2, alpha, conj(alpha)
     alpha = splitting_type(13, F3).alpha
     b1set = {(c.b1.a, c.b1.b) for c in cands}
@@ -325,9 +452,70 @@ def test_selmer_candidates_split_13():
 
 
 def test_selmer_candidates_ramified():
-    cands = selmer_candidates(15, Side.PHI, F3)  # 3 ramifies, 5 inert
+    cands = selmer_candidates(CurveSpec(15, F3), Side.PHI)  # 3 ramifies, 5 inert
     assert len(cands) == 16
     s = F3.sqrt_disc()
     assert any(c.b1 == s for c in cands)
     for c in cands:
         assert c.b1 * c.b2 == F3.of(-60)
+
+
+# ---------------------------------------------------------------------------
+# CurveSpec: one factorization per curve, read by every layer
+
+
+def _fourth_power_free(limit: int) -> list[int]:
+    return [n for n in range(1, limit + 1) if all(e < 4 for _, e in _factorint(n))]
+
+
+def test_curve_spec_readings_match_the_reference():
+    # generators, both torsion masks, bad places and the closed form for every
+    # fourth-power-free 0 < |b| <= 3000, both signs, on all six fields
+    checked = 0
+    for n in _fourth_power_free(3000):
+        for b in (n, -n):
+            for F in FIELDS.values():
+                spec = CurveSpec(b, F, _factorint(n))
+                gens = descent_generators(spec)
+                assert gens == _ref_generators(b, F), (b, F.D)
+                assert torsion_mask(spec, Side.PHI) == _class_bits(-4 * b, gens, F), (b, F.D)
+                assert torsion_mask(spec, Side.PHIHAT) == _class_bits(b, gens, F), (b, F.D)
+                assert bad_places(spec.odd_primes, F) == _ref_bad_places(b, F), (b, F.D)
+                assert closed_form_rank(spec) == _ref_closed_form_rank(b, F), (b, F.D)
+                checked += 1
+    assert checked > 30000
+
+
+def test_selmer_candidates_match_the_reference():
+    for n in _fourth_power_free(200):
+        for b in (n, -n):
+            for F in FIELDS.values():
+                spec = curve_spec(b, F)
+                for side in Side:
+                    got = [(c.b1, c.b2, c.torsion, c.mask) for c in selmer_candidates(spec, side)]
+                    assert got == _ref_candidates(b, side, F), (b, F.D, side)
+
+
+def test_curve_spec_checks_b_and_its_factorization():
+    assert CurveSpec(-60, F3).factors == ((2, 2), (3, 1), (5, 1))
+    assert CurveSpec(-60, F3).odd_primes == (3, 5)
+    assert CurveSpec(-1, F3).factors == () and CurveSpec(-1, F3).odd_primes == ()
+    with pytest.raises(DomainError):
+        CurveSpec(-405, F3)  # 3^4 * 5
+    with pytest.raises(DomainError):
+        CurveSpec(-405, F3, ((3, 4), (5, 1)))
+    with pytest.raises(DomainError):
+        CurveSpec(15, F3, ((3, 1),))  # does not multiply to 15
+    with pytest.raises(ZeroCoefficient):
+        curve_spec(0, F3)
+
+
+def test_int_and_space_call_forms_agree():
+    # the benchmark worker calls selmer_candidates(b, side, F) and bad_places(space, F)
+    for b in (17, 13, -6916):
+        spec = CurveSpec(b, F3)
+        for side in Side:
+            cands = selmer_candidates(b, side, F3)
+            assert cands == selmer_candidates(spec, side)
+            for c in cands:
+                assert bad_places(HomSpace.of_candidate(c, F3), F3) == bad_places(spec.odd_primes, F3)

@@ -1,6 +1,8 @@
 """Mod-8/32 square classes, the 2-adic embedding, and cube charpoly lists."""
 from __future__ import annotations
 
+from enum import Enum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,6 @@ from iqselmer.residue2adic import (
     MINUS_LIST,
     PLUS_LIST,
     R8Elem,
-    SquareClass,
     UNIT_SQUARES_MOD8,
     ZETA,
     embed_mod8,
@@ -24,8 +25,6 @@ from iqselmer.residue2adic import (
     is_square_unit_mod8,
     is_unit_pair,
     pair_charpoly_mod8,
-    square_class_mod8,
-    unit_squares_mod4,
     unit_squares_mod32,
     zmul,
     zpow,
@@ -36,6 +35,30 @@ F3 = FIELDS[-3]
 
 ALL_MOD8 = [R8Elem(a, b) for a in range(8) for b in range(8)]
 UNITS_MOD8 = [r for r in ALL_MOD8 if r.is_unit()]
+
+
+# Reference tables the program does not need: the finer square classes of a
+# residue mod 8, and the unit squares mod 4.
+
+
+class SquareClass(Enum):
+    FourthPower = "fourth_power"
+    SquareNotFourth = "square_not_fourth"
+    NonSquare = "non_square"
+    NonUnit = "non_unit"
+
+
+def square_class_mod8(r: R8Elem) -> SquareClass:
+    if not r.is_unit():
+        return SquareClass.NonUnit
+    if r in FOURTH_POWERS_MOD8:
+        return SquareClass.FourthPower
+    if r in UNIT_SQUARES_MOD8:
+        return SquareClass.SquareNotFourth
+    return SquareClass.NonSquare
+
+
+UNIT_SQUARES_MOD4 = frozenset({(1, 0), (0, 1), (3, 3)})
 
 
 def test_ring_size():
@@ -90,7 +113,7 @@ def test_unit_squares_mod4():
         for b in range(4)
         if is_unit_pair((a, b))
     }
-    assert by_enum == unit_squares_mod4()
+    assert by_enum == UNIT_SQUARES_MOD4
 
 
 def test_embed_examples():
