@@ -24,7 +24,6 @@ from .quadfield import (
     Side,
     SplitData,
     curve_spec,
-    element_invariants,
     legendre_symbol,
     make_field,
     places_above,

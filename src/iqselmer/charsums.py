@@ -116,7 +116,8 @@ class ResidueField:
         return tuple(c % p for c in raw[:k])
 
     def pow(self, x, n: int):
-        assert n >= 0
+        if n < 0:
+            raise DomainError(f"negative exponent {n}; use inv")
         out, base = self.one, x
         while n:
             if n & 1:
@@ -126,7 +127,8 @@ class ResidueField:
         return out
 
     def inv(self, x):
-        assert x != self.zero
+        if x == self.zero:
+            raise ZeroCoefficient(f"0 has no inverse in F_{self.q}")
         return self.pow(x, self.q - 2)
 
     def elements(self):

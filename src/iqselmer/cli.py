@@ -20,7 +20,7 @@ from .charsums import MAX_DEGREE, default_field, exception_scan
 from .congruent import CongruentVerdict, congruent_verdict, scan_new_congruent, scan_verdicts
 from .descent import closed_form_rank, selmer_rank2
 from .errors import DomainError, InternalInconsistency
-from .localsolve import HomSpace, VerdictTag, bad_places, everywhere_verdicts, oracle_search
+from .localsolve import VerdictTag, bad_places, everywhere_verdicts, oracle_search
 from .quadfield import (
     CurveSpec,
     FieldCtx,
@@ -54,11 +54,6 @@ def _place_label(pl: Place) -> str:
     return f"{pl.kind.value}@{pl.p}"
 
 
-def _candidate_spaces(spec: CurveSpec) -> list[HomSpace]:
-    sides = (Side.PHI, Side.PHIHAT)
-    return [HomSpace.of_candidate(c, spec.F) for side in sides for c in selmer_candidates(spec, side)]
-
-
 # ---------------------------------------------------------------------------
 # selrank
 
@@ -81,7 +76,7 @@ def _cmd_selrank(args: argparse.Namespace) -> int:
         if args.show_generators:
             # a trailing * marks the class of a rational 2-torsion point
             def fmt(gens) -> str:
-                return ", ".join(str(g.rep) + ("*" if g.torsion else "") for g in gens)
+                return ", ".join(str(g.b1) + ("*" if g.torsion else "") for g in gens)
 
             rows.insert(4, ("S^(phi) basis", fmt(rep.gens_phi)))
             rows.insert(5, ("S^(phihat) basis", fmt(rep.gens_phihat)))
@@ -103,9 +98,9 @@ def _cmd_selrank(args: argparse.Namespace) -> int:
         "cases_fired": list(rep.cases_fired),
     }
     if args.show_generators:
-        payload["generators_phi"] = [{"rep": str(g.rep), "torsion": g.torsion} for g in rep.gens_phi]
+        payload["generators_phi"] = [{"rep": str(g.b1), "torsion": g.torsion} for g in rep.gens_phi]
         payload["generators_phihat"] = [
-            {"rep": str(g.rep), "torsion": g.torsion} for g in rep.gens_phihat
+            {"rep": str(g.b1), "torsion": g.torsion} for g in rep.gens_phihat
         ]
     _emit(payload)
     return 0
@@ -254,7 +249,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
         disagreements: list[dict] = []
         spec = CurveSpec(b, F)
         places = bad_places(spec.odd_primes, F)  # those of every space of b
-        for space in _candidate_spaces(spec):
+        for space in (s for side in Side for s in selmer_candidates(spec, side)):
             spaces += 1
             for pl, pred in everywhere_verdicts(space, F, places):
                 orc = oracle_search(space, pl, max_precision=args.precision)

@@ -2,9 +2,10 @@
 
 The curve E: y^2 = x^3 + b*x and its partner E': y^2 = x^3 - 4*b*x are
 connected by dual isogenies; the classes (b1, b2) with b1*b2 = -4b measure
-one direction and those with b1*b2 = b the other.  Everywhere-locally
-solvable classes form two F_2-vector spaces whose dimensions combine into
-the 2-Selmer rank.
+one direction and those with b1*b2 = b the other.  Each class is the
+HomSpace v^2 = b1*u^4 + b2*w^4; the everywhere-locally solvable ones form
+two F_2-vector spaces whose dimensions combine into the 2-Selmer rank, and
+their bases are returned as the spaces themselves.
 """
 from __future__ import annotations
 
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 import sympy
 
 from .errors import InternalInconsistency, RamifiedFactor
-from .localsolve import HomSpace, all_solvable, bad_places, everywhere_verdicts
+from .localsolve import all_solvable, bad_places, everywhere_verdicts
 from .quadfield import (
     CurveSpec,
+    HomSpace,
     PlaceKind,
-    QuadInt,
     Side,
     selmer_candidates,
     splitting_type,
@@ -26,25 +27,13 @@ from .quadfield import (
 
 
 @dataclass(frozen=True)
-class GeneratorClass:
-    """One basis class of a Selmer group, with its generator bitmask."""
-
-    rep: QuadInt
-    mask: int
-    torsion: bool
-
-    def __str__(self) -> str:
-        return str(self.rep)
-
-
-@dataclass(frozen=True)
 class SelmerReport:
     b: int
     D: int
     dim_phi: int
     dim_phihat: int
-    gens_phi: tuple[GeneratorClass, ...]
-    gens_phihat: tuple[GeneratorClass, ...]
+    gens_phi: tuple[HomSpace, ...]
+    gens_phihat: tuple[HomSpace, ...]
     sel_rank2: int
     torsion_full: bool
     # sorted reasons of every local verdict that decided a candidate, both sides
@@ -70,26 +59,26 @@ def _rref_basis(masks: set[int]) -> list[int]:
 
 def selmer_group(
     spec: CurveSpec, side: Side
-) -> tuple[int, tuple[GeneratorClass, ...], frozenset[str]]:
+) -> tuple[int, tuple[HomSpace, ...], frozenset[str]]:
     """F_2-dimension and a canonical basis of the solvable classes, with the
     reasons of the local verdicts that decided the candidates."""
     F = spec.F
     for p in spec.odd_primes:
         if splitting_type(p, F).kind is PlaceKind.RAMIFIED:
             raise RamifiedFactor(f"prime {p} dividing b ramifies in Q(sqrt({F.D}))")
-    cands = selmer_candidates(spec, side)
+    spaces = selmer_candidates(spec, side)
     places = bad_places(spec.odd_primes, F)  # those of every candidate
 
     masks: set[int] = set()
     reasons: set[str] = set()
-    for c in cands:
-        verdicts = everywhere_verdicts(HomSpace.of_candidate(c, F), F, places)
+    for s in spaces:
+        verdicts = everywhere_verdicts(s, F, places)
         reasons.update(v.reason for _, v in verdicts if v.reason)
         if all_solvable(verdicts):
-            masks.add(c.mask)
+            masks.add(s.mask)
 
     # self-checks that a predicate bug would break; raised, so python -O keeps them
-    torsion_masks = {c.mask for c in cands if c.torsion}
+    torsion_masks = {s.mask for s in spaces if s.torsion}
     if not torsion_masks <= masks:
         raise InternalInconsistency("torsion classes must be locally solvable")
     # subgroup under multiplication modulo squares <=> xor-closure of masks
@@ -101,11 +90,8 @@ def selmer_group(
     basis = _rref_basis(masks)
     if 1 << dim != len(masks) or len(basis) != dim:
         raise InternalInconsistency(f"{len(masks)} solvable classes with a basis of {len(basis)}")
-    # cands is in mask order, so cands[v].b1 is the product of v's generators
-    out = tuple(
-        GeneratorClass(rep=cands[v].b1, mask=v, torsion=v in torsion_masks) for v in basis
-    )
-    return dim, out, frozenset(reasons)
+    # spaces is in mask order, so spaces[v] is the class of v's generators
+    return dim, tuple(spaces[v] for v in basis), frozenset(reasons)
 
 
 def full_two_torsion(b: int, D: int) -> bool:

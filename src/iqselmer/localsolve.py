@@ -1,5 +1,8 @@
 """Local solvability of v^2 = b1*u^4 + a*u^2*w^2 + b2*w^4 at finite places.
 
+The space is quadfield.HomSpace, imported here; with a = 0 it is a descent
+class, and everywhere_verdicts decides it at the bad places of its curve.
+
 Two independent routes decide whether the homogeneous space has a point
 over the completion K_v:
 
@@ -22,21 +25,13 @@ from math import gcd
 import sympy
 
 from .charsums import ResidueField
-from .errors import (
-    DomainError,
-    EvenPlace,
-    InternalInconsistency,
-    UnknownVerdict,
-    ZeroCoefficient,
-)
+from .errors import DomainError, EvenPlace, InternalInconsistency, UnknownVerdict
 from .quadfield import (
-    CandidatePair,
     FieldCtx,
+    HomSpace,
     Place,
     PlaceKind,
     QuadInt,
-    Side,
-    legendre_symbol,
     make_field,
     places_above,
     residue_image,
@@ -51,39 +46,6 @@ from .residue2adic import (
     zadd,
     zmul,
 )
-
-
-@dataclass(frozen=True)
-class HomSpace:
-    """v^2 = b1*u^4 + a*u^2*w^2 + b2*w^4 over O_K; b1*b2 != 0."""
-
-    a: QuadInt
-    b1: QuadInt
-    b2: QuadInt
-    side: Side | None = None
-    torsion_flag: bool = False
-
-    def __post_init__(self) -> None:
-        if self.b1.is_zero or self.b2.is_zero:
-            raise ZeroCoefficient("homogeneous space needs b1*b2 != 0")
-
-    @classmethod
-    def make(
-        cls,
-        b1: QuadInt | int,
-        b2: QuadInt | int,
-        F: FieldCtx,
-        a: QuadInt | int = 0,
-        side: Side | None = None,
-        torsion: bool = False,
-    ) -> "HomSpace":
-        coerce = lambda x: F.of(x) if isinstance(x, int) else x
-        return cls(a=coerce(a), b1=coerce(b1), b2=coerce(b2), side=side, torsion_flag=torsion)
-
-    @classmethod
-    def of_candidate(cls, c: CandidatePair, F: FieldCtx) -> "HomSpace":
-        """The space v^2 = b1*u^4 + b2*w^4 of one descent class."""
-        return cls(a=F.of(0), b1=c.b1, b2=c.b2, side=c.side, torsion_flag=c.torsion)
 
 
 class VerdictTag(Enum):
@@ -137,8 +99,11 @@ def _chi_unit(x: QuadInt, pl: Place) -> int:
     if pl.kind is PlaceKind.INERT:
         val = _inert_field(pl.p, pl.pi.cw).chi((x.a, x.b))
     else:
-        val = legendre_symbol(residue_image(x, pl), pl.p)
-    assert val != 0, f"{x} is not a unit at {pl}"
+        # pl.p is prime: Euler's criterion, without legendre_symbol's primality test
+        val = pow(residue_image(x, pl), (pl.p - 1) // 2, pl.p)
+        val = -1 if val == pl.p - 1 else val
+    if val == 0:
+        raise DomainError(f"{x} is not a unit at {pl}")
     return val
 
 
@@ -251,12 +216,10 @@ def predicate_two_adic(s: HomSpace, F: FieldCtx) -> Verdict:
     v1, u1 = val_unit(s.b1, pl, F)
     v2, u2 = val_unit(s.b2, pl, F)
     B1, B2 = embed_mod32(u1, F), embed_mod32(u2, F)
+    if (v1 % 2 == 0 and is_square_unit_mod8(B1)) or (v2 % 2 == 0 and is_square_unit_mod8(B2)):
+        return _solvable("two:square-unit-coefficient")
 
     if s.a.is_zero:
-        if v1 % 2 == 0 and is_square_unit_mod8(B1):
-            return _solvable("two:square-unit-coefficient")
-        if v2 % 2 == 0 and is_square_unit_mod8(B2):
-            return _solvable("two:square-unit-coefficient")
         for vi, bi, vj, bj in ((v1, B1, v2, B2), (v2, B2, v1, B1)):
             if vi % 2 != 0:
                 continue
@@ -287,10 +250,6 @@ def predicate_two_adic(s: HomSpace, F: FieldCtx) -> Verdict:
         return _insolvable("two:no-square-combination")
 
     # a != 0: sufficient conditions only
-    if v1 % 2 == 0 and is_square_unit_mod8(B1):
-        return _solvable("two:square-unit-coefficient")
-    if v2 % 2 == 0 and is_square_unit_mod8(B2):
-        return _solvable("two:square-unit-coefficient")
     va, ua = val_unit(s.a, pl, F)
     if va > 0:
         A = embed_mod32(ua, F)

@@ -5,6 +5,11 @@ class-number-one imaginary quadratic fields with D = 5 mod 8, so 2 stays
 prime in O_K.  Ring of integers O_K = Z[w] with w = (1+sqrt(D))/2, which
 satisfies w^2 = w - c where c = (1-D)/4.  Everything here is exact integer
 arithmetic on coordinates in the basis {1, w}.
+
+On top of the arithmetic sit the places of K, the curve (CurveSpec, b
+factored once) and its descent classes.  A descent class is one HomSpace,
+v^2 = b1*u^4 + b2*w^4, from candidate (selmer_candidates) to local verdict
+(localsolve) to Selmer basis (descent).
 """
 from __future__ import annotations
 
@@ -40,7 +45,8 @@ class QuadInt:
         if isinstance(other, int):
             return QuadInt(other, 0, self.cw)
         if isinstance(other, QuadInt):
-            assert other.cw == self.cw, "mixed fields"
+            if other.cw != self.cw:
+                raise DomainError(f"mixed fields: w^2 = w - {self.cw} and w^2 = w - {other.cw}")
             return other
         return None
 
@@ -78,7 +84,8 @@ class QuadInt:
         return QuadInt(-self.a, -self.b, self.cw)
 
     def __pow__(self, n: int) -> "QuadInt":
-        assert n >= 0
+        if n < 0:
+            raise DomainError(f"negative exponent {n} in O_K")
         out = QuadInt(1, 0, self.cw)
         base = self
         while n:
@@ -106,12 +113,16 @@ class QuadInt:
         return self.norm() == 1
 
     def divide_exact(self, other: "QuadInt | int") -> "QuadInt":
-        """Exact division; asserts the quotient lies in O_K."""
+        """Exact division; raises unless the quotient lies in O_K."""
         o = self._coerce(other)
-        assert o is not None and not o.is_zero
+        if o is None:
+            raise TypeError(f"cannot divide {self} by {other!r}")
+        if o.is_zero:
+            raise ZeroCoefficient(f"cannot divide {self} by 0")
         n = o.norm()
         num = self * o.conj()
-        assert num.a % n == 0 and num.b % n == 0, f"{self} not divisible by {o}"
+        if num.a % n or num.b % n:
+            raise DomainError(f"{self} is not divisible by {o}")
         return QuadInt(num.a // n, num.b // n, self.cw)
 
     def __str__(self) -> str:
@@ -146,7 +157,8 @@ class FieldCtx:
 
     def of(self, x: "QuadInt | int") -> QuadInt:
         if isinstance(x, QuadInt):
-            assert x.cw == self.omega_norm
+            if x.cw != self.omega_norm:
+                raise DomainError(f"{x} (w^2 = w - {x.cw}) is not in Q(sqrt({self.D}))")
             return x
         return QuadInt(x, 0, self.omega_norm)
 
@@ -182,11 +194,6 @@ def make_field(D: int) -> FieldCtx:
     return FieldCtx(D=D, omega_norm=c, seed=roots[0] % 64)
 
 
-def element_invariants(x: QuadInt, F: FieldCtx) -> tuple[int, int, QuadInt]:
-    x = F.of(x)
-    return x.norm(), x.trace(), x.conj()
-
-
 def canonical_associate(x: QuadInt, F: FieldCtx) -> QuadInt:
     """Deterministic representative of x among its unit multiples.
 
@@ -208,16 +215,14 @@ def canonical_associate(x: QuadInt, F: FieldCtx) -> QuadInt:
 class SplitData:
     """Splitting of a rational prime p in O_K.
 
-    For split p: alpha is the canonical prime element above p, t its trace,
-    and t_chars = ((t/p), (-t/p)); the two coincide when p = 1 mod 4, where
-    the symbol is associate-invariant.
+    For split p: alpha is the canonical prime element above p and t its
+    trace.
     """
 
     p: int
     kind: PlaceKind
     alpha: QuadInt | None = None
     t: int | None = None
-    t_chars: tuple[int, int] | None = None
 
 
 def _norm_equation_lattice(p: int, F: FieldCtx) -> QuadInt:
@@ -267,14 +272,7 @@ def splitting_type(p: int, F: FieldCtx) -> SplitData:
         assert cand1.trace() == cand2.trace()
         alpha = cand1 if cand1.a >= cand2.a else cand2
         assert alpha.norm() == p
-        t = alpha.trace()
-        return SplitData(
-            p=p,
-            kind=PlaceKind.SPLIT,
-            alpha=alpha,
-            t=t,
-            t_chars=(legendre_symbol(t, p), legendre_symbol(-t, p)),
-        )
+        return SplitData(p=p, kind=PlaceKind.SPLIT, alpha=alpha, t=alpha.trace())
     return SplitData(p=p, kind=PlaceKind.INERT)
 
 
@@ -329,7 +327,8 @@ def places_above(p: int, F: FieldCtx) -> tuple[Place, ...]:
 def val_unit(x: "QuadInt | int", place: Place, F: FieldCtx) -> tuple[int, QuadInt]:
     """x = pi^val * unit at the given place; exact on all of O_K - {0}."""
     x = F.of(x)
-    assert not x.is_zero
+    if x.is_zero:
+        raise ZeroCoefficient(f"0 has no valuation at {place}")
     if place.kind in (PlaceKind.INERT, PlaceKind.TWO_ADIC):
         p = place.p
         k = 0
@@ -386,20 +385,37 @@ class Side(Enum):
 
 
 @dataclass(frozen=True)
-class CandidatePair:
-    """One descent class: C is v^2 = b1*u^4 + b2*w^4 with b1*b2 fixed by side.
+class HomSpace:
+    """v^2 = b1*u^4 + a*u^2*w^2 + b2*w^4 over O_K; b1*b2 != 0.
 
-    mask records which generators divide b1 (bit i = generator i), so classes
-    multiply modulo squares by xor of masks.
+    A descent class is such a space with a = 0 and b1*b2 fixed by side;
+    torsion marks the class of a rational 2-torsion point, and mask records
+    which generators divide b1 (bit i = generator i), so classes multiply
+    modulo squares by xor of masks.
     """
 
+    a: QuadInt
     b1: QuadInt
     b2: QuadInt
-    side: Side
-    torsion: bool
+    side: Side | None = None
+    torsion: bool = False
     mask: int = 0
 
+    def __post_init__(self) -> None:
+        if self.b1.is_zero or self.b2.is_zero:
+            raise ZeroCoefficient("homogeneous space needs b1*b2 != 0")
 
+    @classmethod
+    def make(
+        cls,
+        b1: QuadInt | int,
+        b2: QuadInt | int,
+        F: FieldCtx,
+        a: QuadInt | int = 0,
+        side: Side | None = None,
+        torsion: bool = False,
+    ) -> "HomSpace":
+        return cls(a=F.of(a), b1=F.of(b1), b2=F.of(b2), side=side, torsion=torsion)
 
 
 def squarefree_factors(n: int) -> dict[int, int] | None:
@@ -495,8 +511,9 @@ def torsion_mask(spec: CurveSpec, side: Side) -> int:
 
 def selmer_candidates(
     spec: CurveSpec | int, side: Side, F: FieldCtx | None = None
-) -> tuple[CandidatePair, ...]:
-    """All 2^(g+1) candidate classes for the given side, in mask order.
+) -> tuple[HomSpace, ...]:
+    """The spaces of all 2^(g+1) candidate classes for the given side, in
+    mask order.
 
     Side PHI pairs satisfy b1*b2 = -4b; side PHIHAT pairs satisfy
     b1*b2 = 16b with factors of 16 stripped from b2 (same class as
@@ -510,15 +527,16 @@ def selmer_candidates(
     product = F.of(-4 * spec.b) if side is Side.PHI else F.of(16 * spec.b)
     tmask = torsion_mask(spec, side)
 
+    # doubling keeps mask order: bit i of the index is set iff g_i divides b1
+    b1s = [F.of(1)]
+    for g in gens:
+        b1s += [x * g for x in b1s]
+    zero = F.of(0)
     out = []
-    for mask in range(1 << len(gens)):
-        b1 = F.of(1)
-        for i, g in enumerate(gens):
-            if mask >> i & 1:
-                b1 = b1 * g
+    for mask, b1 in enumerate(b1s):
         b2 = product.divide_exact(b1)
         if side is Side.PHIHAT:
             while b2.a % 16 == 0 and b2.b % 16 == 0:
                 b2 = QuadInt(b2.a // 16, b2.b // 16, b2.cw)
-        out.append(CandidatePair(b1, b2, side, torsion=mask in (0, tmask), mask=mask))
+        out.append(HomSpace(zero, b1, b2, side, torsion=mask in (0, tmask), mask=mask))
     return tuple(out)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import DomainError
 from .quadfield import FieldCtx, QuadInt
 
 Pair = tuple[int, int]
@@ -27,7 +28,8 @@ def zmul(x: Pair, y: Pair, m: int) -> Pair:
 
 
 def zpow(x: Pair, n: int, m: int) -> Pair:
-    assert n >= 0
+    if n < 0:
+        raise DomainError(f"negative exponent {n} in Z_2[zeta3]")
     out: Pair = (1 % m, 0)
     base = (x[0] % m, x[1] % m)
     while n:

@@ -377,8 +377,7 @@ def test_criterion_6_oracle_agreement():
             spec = CurveSpec(b, F)
             places = bad_places(spec.odd_primes, F)
             for side in (Side.PHI, Side.PHIHAT):
-                for c in selmer_candidates(spec, side):
-                    space = HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion)
+                for space in selmer_candidates(spec, side):
                     for pl in places:
                         if pl.kind is PlaceKind.TWO_ADIC:
                             pred = predicate_two_adic(space, F)

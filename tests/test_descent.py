@@ -18,7 +18,7 @@ from iqselmer.descent import (
     selmer_rank2,
 )
 from iqselmer.errors import DomainError, RamifiedFactor, ZeroCoefficient
-from iqselmer.localsolve import HomSpace, bad_places, everywhere_verdicts
+from iqselmer.localsolve import bad_places, everywhere_verdicts
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
     CurveSpec,
@@ -39,12 +39,12 @@ def test_selmer_group_b17():
     spec = curve_spec(17, F3)
     dim, gens, _ = selmer_group(spec, Side.PHI)
     assert dim == 3
-    assert [str(g) for g in gens] == ["-1", "2", "17"]
+    assert [str(g.b1) for g in gens] == ["-1", "2", "17"]
     assert not any(g.torsion for g in gens)
 
     dim, gens, _ = selmer_group(spec, Side.PHIHAT)
     assert dim == 2
-    assert [str(g) for g in gens] == ["-1", "17"]
+    assert [str(g.b1) for g in gens] == ["-1", "17"]
     # the class of b itself is the torsion class on this side
     assert [g.torsion for g in gens] == [False, True]
 
@@ -171,10 +171,9 @@ def _recounted_cases(b: int, F) -> tuple[str, ...]:
     )
     labels: set[str] = set()
     for side in (Side.PHI, Side.PHIHAT):
-        for c in selmer_candidates(CurveSpec(b, F), side):
-            space = HomSpace(a=F.of(0), b1=c.b1, b2=c.b2, side=side, torsion_flag=c.torsion)
+        for space in selmer_candidates(CurveSpec(b, F), side):
             places = bad_places(space, F)  # from N(b1*b2), not from the curve
-            assert places == curve_places, (b, F.D, side, c.mask)
+            assert places == curve_places, (b, F.D, side, space.mask)
             labels.update(v.reason for _, v in everywhere_verdicts(space, F, places) if v.reason)
     return tuple(sorted(labels))
 
@@ -212,10 +211,14 @@ import iqselmer.congruent as congruent
 import iqselmer.descent as descent
 from iqselmer.charsums import ResidueField, chi_exists, default_field, exception_scan
 from iqselmer.errors import DomainError, InternalInconsistency, InvalidModulus, ZeroCoefficient
-from iqselmer.localsolve import HomSpace, everywhere_verdicts
-from iqselmer.quadfield import CurveSpec, Side, make_field, splitting_type
+from iqselmer.localsolve import HomSpace, _chi_unit, everywhere_verdicts
+from iqselmer.quadfield import CurveSpec, QuadInt, Side, make_field, places_above, splitting_type, val_unit
+from iqselmer.residue2adic import zpow
 
 F = make_field(-3)
+F11 = make_field(-11)
+(inert5,) = places_above(5, F)
+split7 = places_above(7, F)[0]
 
 
 def wrong_closed_form_rank():
@@ -272,6 +275,18 @@ cases = [
     (wrong_closed_form_rank, InternalInconsistency),
     (unclosed_selmer_group, InternalInconsistency),
     (theorems_without_closed_form, InternalInconsistency),
+    # arithmetic guards: without them -O hangs or answers wrongly
+    (lambda: val_unit(F.of(0), inert5, F), ZeroCoefficient),  # looped forever
+    (lambda: QuadInt(7, 0, 1).divide_exact(2), DomainError),  # gave 3
+    (lambda: QuadInt(7, 0, 1).divide_exact(0), ZeroCoefficient),
+    (lambda: F.of(1) * F11.of(2), DomainError),  # gave 2
+    (lambda: F.of(F11.of(2)), DomainError),
+    (lambda: _chi_unit(F.of(7), split7), DomainError),  # gave 0
+    (lambda: _chi_unit(F.of(5), inert5), DomainError),
+    (lambda: F.omega() ** -1, DomainError),  # looped forever
+    (lambda: default_field(9).pow((1, 1), -1), DomainError),  # looped forever
+    (lambda: default_field(9).inv((0, 0)), ZeroCoefficient),  # gave 0
+    (lambda: zpow((1, 1), -1, 32), DomainError),  # looped forever
 ]
 for i, (call, want) in enumerate(cases):
     try:
@@ -290,6 +305,7 @@ def test_input_checks_survive_python_O():
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
         capture_output=True,
         text=True,
+        timeout=120,  # a guard that falls back to an endless loop fails, not hangs
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -263,8 +263,7 @@ def test_predicate_oracle_agreement(F, bs):
         spec = CurveSpec(b, F)
         places = bad_places(spec.odd_primes, F)
         for side in (Side.PHI, Side.PHIHAT):
-            for cand in selmer_candidates(spec, side):
-                s = HomSpace(a=F.of(0), b1=cand.b1, b2=cand.b2, side=side, torsion_flag=cand.torsion)
+            for s in selmer_candidates(spec, side):
                 for pl in places:
                     if pl.kind is PlaceKind.TWO_ADIC:
                         pred = predicate_two_adic(s, F)
@@ -272,7 +271,7 @@ def test_predicate_oracle_agreement(F, bs):
                         pred = predicate_odd_place(s, pl)
                     orc = oracle_search(s, pl)
                     assert pred.tag is not VerdictTag.Unknown
-                    assert orc.tag is not VerdictTag.Unknown, (b, side, cand, str(pl), orc.reason)
+                    assert orc.tag is not VerdictTag.Unknown, (b, side, s, str(pl), orc.reason)
                     assert pred.tag is orc.tag, (
                         b,
                         side,
@@ -562,7 +561,7 @@ def test_oracle_kernel_matches_reference_on_candidate_spaces(chart_log):
                 for side in (Side.PHI, Side.PHIHAT):
                     for c in selmer_candidates(spec, side):
                         for pl in places:
-                            oracle_search(HomSpace.of_candidate(c, F), pl)
+                            oracle_search(c, pl)
     kinds = {kind for kind, _ in chart_log}
     assert kinds == {"_SplitLocal", "_PairLocal", "_TwoAdicLocal", "_RamifiedLocal"}
     assert {status for _, status in chart_log} == {_CHART_SOLVED, _CHART_DEAD}
@@ -730,14 +729,12 @@ def test_everywhere_solvable_examples():
     for b in (17, -5, 13):
         cands = selmer_candidates(CurveSpec(b, F3), Side.PHIHAT)
         tors = [c for c in cands if c.torsion and not c.b1.is_unit()]
-        for c in tors:
-            s = HomSpace(a=F3.of(0), b1=c.b1, b2=c.b2, side=Side.PHIHAT, torsion_flag=True)
+        for s in tors:
             assert everywhere_solvable(s, F3)
 
     # the (-1, 68) member of the b = 17 descent is everywhere solvable
     cands = selmer_candidates(CurveSpec(17, F3), Side.PHI)
-    c = next(c for c in cands if c.b1 == F3.of(-1))
-    s = HomSpace(a=F3.of(0), b1=c.b1, b2=c.b2, side=Side.PHI, torsion_flag=c.torsion)
+    s = next(c for c in cands if c.b1 == F3.of(-1))
     assert everywhere_solvable(s, F3)
 
     # residue-5 pattern: (2b_i, -2p_i) with b = b_i*p_i = 5 mod 8 fails at 2
