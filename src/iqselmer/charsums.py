@@ -3,8 +3,9 @@
 Decides statements of the form "some x in F_q has chi(c*x^degree + d) = 1"
 by direct enumeration, and scans entire (c, d) ranges for exceptions.
 Also provides the residue-field model (including F_{p^2} with a custom
-quadratic modulus), which the local solvability predicates use only at inert
-places; at split and ramified places they use Euler's criterion in F_p.
+quadratic modulus), which serves only `verify charsum` and the local
+solvability predicates at inert places; elsewhere the predicates, and the
+search oracle everywhere, use their own arithmetic.
 """
 from __future__ import annotations
 
@@ -80,12 +81,10 @@ class ResidueField:
         self.one = 1 if k == 1 else (1,) + (0,) * (k - 1)
 
     def coerce(self, x) -> "int | tuple[int, ...]":
-        if self.k == 1:
-            assert isinstance(x, int)
-            return x % self.p
         if isinstance(x, int):
-            return (x % self.p,) + (0,) * (self.k - 1)
-        assert len(x) == self.k
+            return x % self.p if self.k == 1 else (x % self.p,) + (0,) * (self.k - 1)
+        if self.k == 1 or not isinstance(x, tuple) or len(x) != self.k:
+            raise DomainError(f"{x!r} is not an element of F_{self.q}")
         return tuple(c % self.p for c in x)
 
     def add(self, x, y):

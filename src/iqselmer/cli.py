@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
-from math import gcd
 
 import sympy
 
 from .charsums import MAX_DEGREE, default_field, exception_scan
-from .congruent import CongruentVerdict, congruent_verdict, scan_new_congruent, scan_verdicts
+from .congruent import (
+    CongruentVerdict,
+    congruent_verdict,
+    rank_formula_obstruction,
+    scan_new_congruent,
+    scan_verdicts,
+)
 from .descent import closed_form_rank, selmer_rank2
 from .errors import DomainError, InternalInconsistency
 from .localsolve import VerdictTag, bad_places, everywhere_verdicts, oracle_search
@@ -241,13 +246,16 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> int:
     F = make_field(args.disc)
-    bs = [s * n for n in range(1, args.bmax + 1) if squarefree_factors(n) is not None for s in (1, -1)]
+    specs = []
+    for n in range(1, args.bmax + 1):
+        fac = squarefree_factors(n)
+        if fac is not None:
+            specs += [CurveSpec(s * n, F, tuple(sorted(fac.items()))) for s in (1, -1)]
 
-    def sweep(b: int) -> tuple[int, int, list[dict], list[dict]]:
+    def sweep(spec: CurveSpec) -> tuple[int, int, list[dict], list[dict]]:
         spaces = checks = 0
         undecided: list[dict] = []
         disagreements: list[dict] = []
-        spec = CurveSpec(b, F)
         places = bad_places(spec.odd_primes, F)  # those of every space of b
         for space in (s for side in Side for s in selmer_candidates(spec, side)):
             spaces += 1
@@ -255,7 +263,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
                 orc = oracle_search(space, pl, max_precision=args.precision)
                 checks += 1
                 item = {
-                    "b": b,
+                    "b": spec.b,
                     "side": space.side.value,
                     "b1": str(space.b1),
                     "place": _place_label(pl),
@@ -268,7 +276,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
                     disagreements.append(item)
         return spaces, checks, undecided, disagreements
 
-    rows = [sweep(b) for b in bs]
+    rows = [sweep(spec) for spec in specs]
     undecided = [d for row in rows for d in row[2]]
     disagreements = [d for row in rows for d in row[3]]
     payload = {
@@ -276,7 +284,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
         "disc": F.D,
         "bmax": args.bmax,
         "precision": args.precision,
-        "b_values": len(bs),
+        "b_values": len(specs),
         "spaces": sum(r[0] for r in rows),
         "place_checks": sum(r[1] for r in rows),
         "undecided": undecided,
@@ -293,29 +301,31 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> int:
     inert = [p for p in odd_primes if splitting_type(p, F).kind is PlaceKind.INERT]
     split = [p for p in odd_primes if splitting_type(p, F).kind is PlaceKind.SPLIT]
 
-    specs: list[tuple[str, int]] = []
+    # each curve is built with the factorization it was made from
+    specs: list[tuple[str, CurveSpec]] = []
+
+    def both_signs(family: str, b: int, factors: tuple[tuple[int, int], ...]) -> None:
+        specs.extend((family, CurveSpec(sign * b, F, factors)) for sign in (1, -1))
+
     for p in inert:
-        specs += [("inert-products", p), ("inert-products", -p)]
+        both_signs("inert-products", p, ((p, 1),))
     for i, p in enumerate(inert):
         for q in inert[i + 1 :]:
-            specs += [("inert-products", p * q), ("inert-products", -p * q)]
+            both_signs("inert-products", p * q, ((p, 1), (q, 1)))
     for p in split:
-        specs += [("split-prime", p), ("split-prime", -p)]
+        both_signs("split-prime", p, ((p, 1),))
     for n in range(1, args.pmax + 1):
         fac = squarefree_factors(n)
-        if fac is None or gcd(n, abs(F.D)) != 1:
-            continue
-        if any(splitting_type(f, F).kind is not PlaceKind.INERT for f in fac if f != 2):
-            continue
-        specs.append(("negative-square", -n * n))
+        if fac is not None and rank_formula_obstruction(n, fac, F) is None:
+            factors = tuple((p, 2) for p in sorted(fac))
+            specs.append(("negative-square", CurveSpec(-n * n, F, factors)))
 
-    def check(item: tuple[str, int]) -> tuple[str, int, int, int]:
-        family, b = item
-        spec = curve_spec(b, F)
+    def check(item: tuple[str, CurveSpec]) -> tuple[str, int, int, int]:
+        family, spec = item
         want = closed_form_rank(spec)
         if want is None:
-            raise InternalInconsistency(f"{family} curve b={b} has no closed form")
-        return family, b, want, selmer_rank2(spec).sel_rank2
+            raise InternalInconsistency(f"{family} curve b={spec.b} has no closed form")
+        return family, spec.b, want, selmer_rank2(spec).sel_rank2
 
     rows = [check(item) for item in specs]
     mismatches = [

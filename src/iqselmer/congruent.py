@@ -102,33 +102,36 @@ def q_noncongruence(n: int) -> tuple[QStatus, Criterion | None]:
     return QStatus.UNKNOWN, None
 
 
-def k_congruence(n: int, F: FieldCtx) -> tuple[KStatus, str | None, int | None, int | None]:
-    """Conditional congruence of n over K = Q(sqrt(D)).
+def rank_formula_obstruction(n: int, fac: dict[int, int], F: FieldCtx) -> str | None:
+    """Why the Selmer rank formula for E_n over K does not apply, or None.
 
-    Returns (status, reason, sel_rank, k).  The Selmer rank of E_n over K is
-    2k for odd n and 2k-1 for even n when every odd prime factor of n is
-    inert and gcd(n, D) = 1; odd rank makes n congruent over K whenever the
-    2-primary part of Sha(E_n/K) is finite.
+    n is squarefree with prime factorization fac; the formula needs
+    gcd(n, D) = 1 and every odd prime factor of n inert in K.
     """
-    fac = _checked_squarefree(n)
-    if gcd(n, abs(F.D)) != 1:
-        return (
-            KStatus.INAPPLICABLE,
-            f"gcd(n, {abs(F.D)}) = {gcd(n, abs(F.D))} > 1",
-            None,
-            None,
-        )
+    g = gcd(n, abs(F.D))
+    if g != 1:
+        return f"gcd(n, {abs(F.D)}) = {g} > 1"
     for p in sorted(fac):
         if p == 2:
             continue
         kind = splitting_type(p, F).kind
         if kind is not PlaceKind.INERT:
-            return (
-                KStatus.INAPPLICABLE,
-                f"{p} {kind.value}s in Q(sqrt({F.D}))",
-                None,
-                None,
-            )
+            return f"{p} {kind.value}s in Q(sqrt({F.D}))"
+    return None
+
+
+def k_congruence(n: int, F: FieldCtx) -> tuple[KStatus, str | None, int | None, int | None]:
+    """Conditional congruence of n over K = Q(sqrt(D)).
+
+    Returns (status, reason, sel_rank, k).  The Selmer rank of E_n over K is
+    2k for odd n and 2k-1 for even n when rank_formula_obstruction finds
+    none; odd rank makes n congruent over K whenever the 2-primary part of
+    Sha(E_n/K) is finite.
+    """
+    fac = _checked_squarefree(n)
+    reason = rank_formula_obstruction(n, fac, F)
+    if reason is not None:
+        return KStatus.INAPPLICABLE, reason, None, None
     k = len(fac)
     sel_rank = 2 * k - 1 if n % 2 == 0 else 2 * k
     # same rank via the general closed form for b = -n^2 (shape detection check)

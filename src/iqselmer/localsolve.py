@@ -11,6 +11,10 @@ over the completion K_v:
 * a brute-force residue search with Hensel certificates (oracle_search),
   which shares no logic with the predicates and is used to validate them.
 
+The predicates read charsums.ResidueField (an enumerated F_{p^2}) only for
+characters at inert places; the oracle tests squares with its own pair
+arithmetic at every place.
+
 Callers must never treat Unknown as either boolean: it means "this route
 cannot decide", and the other route should be consulted.
 """
@@ -38,13 +42,14 @@ from .quadfield import (
     val_unit,
 )
 from .residue2adic import (
+    FOURTH_POWERS_MOD8,
     Pair,
-    embed_mod8,
     embed_mod32,
     is_square_unit_mod8,
     unit_squares_mod32,
     zadd,
     zmul,
+    zpow,
 )
 
 
@@ -197,7 +202,10 @@ def _accept_sets() -> tuple[frozenset, frozenset]:
     return even, odd
 
 
-_FOURTH_UNITS_MOD32: tuple[Pair, ...] = ((1, 0), (0, 1), (31, 31))  # 1, z, z^2
+# x^4 mod 32 depends only on x mod 8 (4*3 >= 5 bits): 28 values
+_FOURTH_POWERS_MOD32 = frozenset(zpow((x0, x1), 4, 32) for x0 in range(8) for x1 in range(8))
+
+_GAP_REASONS = {1: "two:valuation-gap-one", 2: "two:valuation-gap-two"}
 
 
 def _two_adic_place(F: FieldCtx) -> Place:
@@ -224,29 +232,21 @@ def predicate_two_adic(s: HomSpace, F: FieldCtx) -> Verdict:
             if vi % 2 != 0:
                 continue
             gap = (vj - vi) % 4
-            if gap == 1:
-                # points with nu(u) and nu(w) differing by a half-step:
-                # beta_i*x^4 + 2*beta_j*g must be a square for some
-                # fourth-power unit g
-                for g in _FOURTH_UNITS_MOD32:
-                    shifted = zadd(bi, zmul((2, 0), zmul(bj, g, 32), 32), 32)
+            if gap in _GAP_REASONS:
+                # points with nu(u) and nu(w) a half-step (gap 1) or a step
+                # (gap 2) apart: beta_i*x^4 + 2^gap*beta_j*g must be a square
+                # for some fourth-power unit g; squares are decided mod 8
+                for g in FOURTH_POWERS_MOD8:
+                    shifted = zadd(bi, zmul((2**gap, 0), zmul(bj, g.pair, 8), 8), 8)
                     if is_square_unit_mod8(shifted):
-                        return _solvable("two:valuation-gap-one")
-            elif gap == 2:
-                for g in _FOURTH_UNITS_MOD32:
-                    shifted = zadd(bi, zmul((4, 0), zmul(bj, g, 32), 32), 32)
-                    if is_square_unit_mod8(shifted):
-                        return _solvable("two:valuation-gap-two")
+                        return _solvable(_GAP_REASONS[gap])
         if (v1 - v2) % 4 == 0:
             accept_even, accept_odd = _accept_sets()
             accept = accept_even if v1 % 2 == 0 else accept_odd
             for ba, bb in ((B1, B2), (B2, B1)):
-                for x0 in range(8):
-                    for x1 in range(8):
-                        x4 = zpow4((x0, x1))
-                        val = zadd(zmul(ba, x4, 32), bb, 32)
-                        if val in accept:
-                            return _solvable("two:matched-valuations")
+                for x4 in _FOURTH_POWERS_MOD32:
+                    if zadd(zmul(ba, x4, 32), bb, 32) in accept:
+                        return _solvable("two:matched-valuations")
         return _insolvable("two:no-square-combination")
 
     # a != 0: sufficient conditions only
@@ -260,13 +260,6 @@ def predicate_two_adic(s: HomSpace, F: FieldCtx) -> Verdict:
                 if vi % 2 == 0 and is_square_unit_mod8(zadd(A, bi, 32)):
                     return _solvable("two:balanced-middle-term")
     return _unknown("two:outside-criteria")
-
-
-@lru_cache(maxsize=None)
-def zpow4(x: Pair) -> Pair:
-    """x^4 mod 32 as a function of x mod 8 (well-defined: 4*3 >= 5 bits)."""
-    sq = zmul(x, x, 32)
-    return zmul(sq, sq, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +410,16 @@ class _PairLocal:
         return (x[0] // q, x[1] // q)
 
     def is_unit_square(self, u: Pair) -> bool:
-        return _inert_field(self.p, self.c).chi((u[0] % self.p, u[1] % self.p)) == 1
+        # Euler's criterion in F_{p^2}: u^((p^2-1)/2) = 1, by square-and-multiply
+        p, c = self.p, self.c
+        a, b = u[0] % p, u[1] % p
+        ra, rb, n = 1, 0, (p * p - 1) // 2
+        while n:
+            if n & 1:
+                ra, rb = (ra * a - c * rb * b) % p, (ra * b + rb * (a + b)) % p
+            a, b = (a * a - c * b * b) % p, b * (2 * a + b) % p
+            n >>= 1
+        return (ra, rb) == (1, 0)
 
     def children(self, x0: Pair, j: int):
         # both coordinates of x0 are below p^j, so those of every child stay
@@ -525,14 +527,15 @@ class _RamifiedLocal:
 
 @lru_cache(maxsize=None)
 def _two_adic_unit_squares(F: FieldCtx) -> frozenset[Pair]:
-    """The omega-pairs mod 8 whose image in Z2[zeta] is a unit square: the
-    embedding is linear, so mod-8 data decides.  One table per field: at most
-    six tables of 64 pairs."""
+    """The omega-pairs mod 8 that are unit squares: the squares of the 48
+    unit pairs, as a unit is a square in O_2 iff it is one mod 8.  One table
+    per field, of six pairs."""
+    c = F.omega_norm
     return frozenset(
-        (a, b)
+        ((a * a - c * b * b) % 8, b * (2 * a + b) % 8)
         for a in range(8)
         for b in range(8)
-        if is_square_unit_mod8(embed_mod8(QuadInt(a, b, F.omega_norm), F).pair)
+        if a % 2 or b % 2
     )
 
 

@@ -201,7 +201,8 @@ def canonical_associate(x: QuadInt, F: FieldCtx) -> QuadInt:
     If every associate has trace 0 (rational multiples of sqrt(D)), the one
     with b > 0 is chosen.
     """
-    assert not x.is_zero
+    if x.is_zero:
+        raise ZeroCoefficient("0 has no canonical associate")
     assocs = [x * u for u in F.units()]
     positive = [y for y in assocs if y.trace() > 0]
     if positive:
@@ -325,52 +326,23 @@ def places_above(p: int, F: FieldCtx) -> tuple[Place, ...]:
 
 
 def val_unit(x: "QuadInt | int", place: Place, F: FieldCtx) -> tuple[int, QuadInt]:
-    """x = pi^val * unit at the given place; exact on all of O_K - {0}."""
+    """x = pi^val * unit at the given place; exact on all of O_K - {0}.
+
+    pi divides y exactly when N(pi) divides both coordinates of y*conj(pi),
+    and then y/pi = y*conj(pi)/N(pi); one loop serves every kind of place.
+    """
     x = F.of(x)
     if x.is_zero:
         raise ZeroCoefficient(f"0 has no valuation at {place}")
-    if place.kind in (PlaceKind.INERT, PlaceKind.TWO_ADIC):
-        p = place.p
-        k = 0
-        a, b = x.a, x.b
-        while a % p == 0 and b % p == 0:
-            a //= p
-            b //= p
-            k += 1
-        return k, QuadInt(a, b, x.cw)
-    if place.kind is PlaceKind.RAMIFIED:
-        p = place.p
-        # pi = sqrt(D): nu(m) = 2*v_p(m) for rational m, nu(sqrt(D)) = 1;
-        # writing 2x = (2a+b) + b*sqrt(D) avoids half-integer coordinates.
-        s, t = 2 * x.a + x.b, x.b
-
-        def vp(m: int) -> int:
-            if m == 0:
-                return 10**9
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            return k
-
-        k = min(2 * vp(s), 2 * vp(t) + 1)
-        unit = x
-        pi = place.pi
-        for _ in range(k):
-            unit = (unit * pi).divide_exact(F.D)  # x/pi = x*pi/D
-        return k, unit
-    # split place: strip exact powers of alpha
-    k = 0
-    unit = x
-    alpha = place.pi
-    p = place.p
+    c, pi = x.cw, place.pi
+    ca, cb, n = pi.a + pi.b, -pi.b, pi.norm()  # conj(pi) = ca + cb*w
+    a, b, k = x.a, x.b, 0
     while True:
-        num = unit * alpha.conj()
-        if num.a % p == 0 and num.b % p == 0:
-            unit = QuadInt(num.a // p, num.b // p, x.cw)
-            k += 1
-        else:
-            return k, unit
+        # (a + b*w)(ca + cb*w) with w^2 = w - c
+        s, t = a * ca - b * cb * c, a * cb + b * ca + b * cb
+        if s % n or t % n:
+            return k, QuadInt(a, b, c)
+        a, b, k = s // n, t // n, k + 1
 
 
 def residue_image(x: QuadInt, place: Place) -> int:

@@ -136,7 +136,8 @@ def embed_pair(x: QuadInt | int, F: FieldCtx, m: int) -> Pair:
     hence omega = (1+sqrt(D))/2 maps to (1+u)/2 + u*zeta.  The seed u is
     stored mod 64, which pins the image mod 32.
     """
-    assert 32 % m == 0
+    if m < 1 or 32 % m:
+        raise DomainError(f"modulus {m} does not divide 32: the seed fixes the image mod 32 only")
     if isinstance(x, int):
         return (x % m, 0)
     u = F.seed
@@ -202,7 +203,8 @@ def pair_charpoly_mod8(b1: R8Elem, b2: R8Elem, sign: str) -> CharPoly:
     s = -b1^3 b2^3.  member reports whether (t, s) lies in the admissible
     list for that sign.
     """
-    assert sign in ("+", "-")
+    if sign not in ("+", "-"):
+        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
     c1, c2 = b1**3, b2**3
     if sign == "-":
         t = c1 + c2

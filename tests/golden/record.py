@@ -23,6 +23,10 @@ GOLDEN = Path(__file__).with_name("cli_outputs.json")
 # squares, a fourth power to strip and products of three split primes
 SELRANK_B = (1, -1, 2, -4, 12, 17, -5, 13, -25, 15, -33, 405, -1729, 6916)
 
+# every k_reason form (inert, split and ramified factors, gcd with D) and
+# the NotSquarefree errors for 0 and 12
+CONGRUENT_N = (1, 2, 5, 7, 15, 82, 170, 0, 12)
+
 
 def commands() -> list[list[str]]:
     out: list[list[str]] = []
@@ -32,7 +36,11 @@ def commands() -> list[list[str]]:
         out.append(["congruent", "scan", "--disc", d, "--max", "600"])
         out.append(["verify", "theorems", "--disc", d, "--pmax", "60"])
         out.append(["verify", "oracle", "--disc", d, "--bmax", "8"])
+        out += [["congruent", "check", "--disc", d, "--n", str(n)] for n in CONGRUENT_N]
     out.append(["selrank", "--disc", "-3", "--b", "-1729", "--table", "--show-generators"])
+    # deeper sweeps: more inert places for the oracle, more curves per family
+    out += [["verify", "oracle", "--disc", d, "--bmax", "20"] for d in ("-3", "-19")]
+    out.append(["verify", "theorems", "--disc", "-3", "--pmax", "150"])
     return out
 
 

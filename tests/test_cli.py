@@ -202,7 +202,7 @@ def test_outputs_match_golden_file(capsys):
     # exit code and stdout of every recorded command, byte for byte; the
     # commands and how to re-record them are in tests/golden/record.py
     rows = json.loads(GOLDEN.read_text())
-    assert len(rows) == 103
+    assert len(rows) == 160
     changed = []
     for row in rows:
         code, out = run_cli(capsys, *row["argv"])

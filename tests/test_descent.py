@@ -212,8 +212,10 @@ import iqselmer.descent as descent
 from iqselmer.charsums import ResidueField, chi_exists, default_field, exception_scan
 from iqselmer.errors import DomainError, InternalInconsistency, InvalidModulus, ZeroCoefficient
 from iqselmer.localsolve import HomSpace, _chi_unit, everywhere_verdicts
-from iqselmer.quadfield import CurveSpec, QuadInt, Side, make_field, places_above, splitting_type, val_unit
-from iqselmer.residue2adic import zpow
+from iqselmer.quadfield import (
+    CurveSpec, QuadInt, Side, canonical_associate, make_field, places_above, splitting_type, val_unit,
+)
+from iqselmer.residue2adic import R8Elem, embed_pair, pair_charpoly_mod8, zpow
 
 F = make_field(-3)
 F11 = make_field(-11)
@@ -287,6 +289,11 @@ cases = [
     (lambda: default_field(9).pow((1, 1), -1), DomainError),  # looped forever
     (lambda: default_field(9).inv((0, 0)), ZeroCoefficient),  # gave 0
     (lambda: zpow((1, 1), -1, 32), DomainError),  # looped forever
+    (lambda: default_field(9).chi((1, 2, 3)), DomainError),  # gave -1
+    (lambda: default_field(7).chi((1, 2)), DomainError),
+    (lambda: embed_pair(F.omega(), F, 64), DomainError),  # the seed fixes only mod 32
+    (lambda: pair_charpoly_mod8(R8Elem(1, 0), R8Elem(1, 0), "*"), DomainError),  # taken as "+"
+    (lambda: canonical_associate(F.of(0), F), ZeroCoefficient),  # bare ValueError
 ]
 for i, (call, want) in enumerate(cases):
     try:
@@ -327,6 +334,15 @@ def test_selrank_factors_b_once(monkeypatch, capsys):
         calls.clear()
         main(["selrank", "--disc", "-3", "--b", str(b), "--show-generators"])
         assert calls == [abs(b)], b
+    capsys.readouterr()
+
+    # the verify sweeps factor each n up to their bound once, and build every
+    # curve from that factorization or from primes they already know
+    for argv in (["oracle", "--bmax", "12"], ["theorems", "--pmax", "40"]):
+        for D in ("-3", "-19"):
+            calls.clear()
+            main(["verify", *argv, "--disc", D])
+            assert calls == list(range(1, int(argv[-1]) + 1)), (argv, D)
     capsys.readouterr()
 
     specs = [curve_spec(b, make_field(D)) for D in SUPPORTED_DISCS for b in (-1, 13, -25, 17, -4, 91)]

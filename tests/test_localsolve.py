@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from collections import deque
 
@@ -30,8 +31,10 @@ from iqselmer.localsolve import (
     _PairLocal,
     _RamifiedLocal,
     _SplitLocal,
+    _FOURTH_POWERS_MOD32,
     _TwoAdicLocal,
     _local_adapter,
+    _two_adic_unit_squares,
 )
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
@@ -48,7 +51,7 @@ from iqselmer.quadfield import (
     squarefree_factors,
     val_unit,
 )
-from iqselmer.residue2adic import embed_mod8, is_square_unit_mod8
+from iqselmer.residue2adic import embed_mod8, is_square_unit_mod8, zpow
 
 F3 = make_field(-3)
 F11 = make_field(-11)
@@ -143,6 +146,52 @@ def test_euler_characters_match_the_residue_field():
                         assert _quartic_ratio_ok(x, y, pl) == want, (D, p, r1, r2)
                 checked += 1
     assert checked > 50
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_inert_field(p: int, c: int) -> ResidueField:
+    # F_{p^2} with omega mapped to z, z^2 = z - c
+    return ResidueField(p, 2, modulus=(1, -1, c))
+
+
+def test_oracle_inert_squares_match_the_residue_field():
+    # the oracle's Euler test on pairs against the enumerated F_{p^2}, for
+    # every unit at every inert place with p < 60
+    checked = 0
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        for p in sympy.primerange(3, 60):
+            pl = places_above(p, F)[0]
+            if pl.kind is not PlaceKind.INERT:
+                continue
+            adapter = _PairLocal(pl, F, 1)
+            K = _enumerated_inert_field(p, F.omega_norm)
+            for a in range(p):
+                for b in range(p):
+                    if (a, b) != (0, 0):
+                        assert adapter.is_unit_square((a, b)) == (K.chi((a, b)) == 1), (D, p, a, b)
+                        checked += 1
+    assert checked > 40000
+
+
+def test_oracle_two_adic_squares_match_the_embedding():
+    # the squares of the unit omega-pairs mod 8 are the pairs whose image in
+    # Z2[zeta] is a unit square
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        embedded = {
+            (a, b)
+            for a in range(8)
+            for b in range(8)
+            if is_square_unit_mod8(embed_mod8(QuadInt(a, b, F.omega_norm), F).pair)
+        }
+        assert _two_adic_unit_squares(F) == embedded, D
+        assert len(embedded) == 6
+
+
+def test_fourth_powers_mod32_are_read_mod_8():
+    assert _FOURTH_POWERS_MOD32 == {zpow((a, b), 4, 32) for a in range(32) for b in range(32)}
+    assert len(_FOURTH_POWERS_MOD32) == 28
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +516,10 @@ class _RefSplit(_SplitLocal):
 
 
 class _RefPair(_PairLocal):
+    def is_unit_square(self, u) -> bool:
+        K = _enumerated_inert_field(self.p, self.c)
+        return K.chi((u[0] % self.p, u[1] % self.p)) == 1
+
     def children(self, x0, j: int):
         step = self.p**j
         return (
@@ -491,8 +544,9 @@ class _RefRamified(_RamifiedLocal):
 
 
 # The adapters' methods as the replaced kernel used them: the valuation loop
-# at 2, the QuadInt embedding for 2-adic squares, Euler's criterion through
-# legendre_symbol, and children reduced mod p^M.  Ring arithmetic (add, mul)
+# at 2, the QuadInt embedding for 2-adic squares, the enumerated F_{p^2} for
+# inert squares, Euler's criterion through legendre_symbol, and children
+# reduced mod p^M.  Ring arithmetic (add, mul)
 # and everything else are the adapters' own.
 _REFERENCE_ADAPTER = {
     _SplitLocal: _RefSplit,

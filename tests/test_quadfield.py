@@ -403,6 +403,69 @@ def test_val_unit_roundtrip(n, D):
             assert val_unit(u, pl, F)[0] == 0
 
 
+def _reference_val_unit(x: QuadInt, place, F) -> tuple[int, QuadInt]:
+    # the replaced three-branch val_unit: coordinate division at inert and
+    # 2-adic places, a closed-form count at the ramified place, conjugate
+    # multiplication at split places
+    x = F.of(x)
+    if place.kind in (PlaceKind.INERT, PlaceKind.TWO_ADIC):
+        p = place.p
+        k = 0
+        a, b = x.a, x.b
+        while a % p == 0 and b % p == 0:
+            a //= p
+            b //= p
+            k += 1
+        return k, QuadInt(a, b, x.cw)
+    if place.kind is PlaceKind.RAMIFIED:
+        p = place.p
+        s, t = 2 * x.a + x.b, x.b
+
+        def vp(m: int) -> int:
+            if m == 0:
+                return 10**9
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            return k
+
+        k = min(2 * vp(s), 2 * vp(t) + 1)
+        unit = x
+        for _ in range(k):
+            unit = (unit * place.pi).divide_exact(F.D)
+        return k, unit
+    k = 0
+    unit = x
+    while True:
+        num = unit * place.pi.conj()
+        if num.a % place.p == 0 and num.b % place.p == 0:
+            unit = QuadInt(num.a // place.p, num.b // place.p, x.cw)
+            k += 1
+        else:
+            return k, unit
+
+
+def test_val_unit_matches_the_three_branch_reference():
+    # x * pi^e for small x and e <= 6 at every place above 2 and above each
+    # odd p < 200, on all six fields
+    xs = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    checked = 0
+    for F in FIELDS.values():
+        for p in sympy.primerange(2, 200):
+            for pl in places_above(p, F):
+                powers = [F.of(1)]
+                for _ in range(6):
+                    powers.append(powers[-1] * pl.pi)
+                for a, b in xs:
+                    x = QuadInt(a, b, F.omega_norm)
+                    for pe in powers:
+                        y = x * pe
+                        assert val_unit(y, pl, F) == _reference_val_unit(y, pl, F), (y, pl)
+                        checked += 1
+    assert checked > 100000
+
+
 def test_strip_fourth_powers():
     assert curve_spec(16, F3).b == 1
     assert curve_spec(32, F3).b == 2
