@@ -13,10 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
-
+from . import arith
 from .errors import DomainError, InvalidModulus, ZeroCoefficient
 from .quadfield import legendre_symbol
 
@@ -38,9 +35,9 @@ def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
     # monic z^k + a_{k-1} z^{k-1} + ... + a_0, coefficient vectors tried in
     # lexicographic order on (a_{k-1}, ..., a_0)
     for tail in product(range(p), repeat=k):
-        f = [1, *tail]
-        if gf_irreducible_p(f, p, ZZ):
-            return tuple(f)
+        f = (1, *tail)
+        if arith.is_irreducible(f, p):
+            return f
     raise AssertionError(f"no irreducible of degree {k} over F_{p}?")
 
 
@@ -55,7 +52,7 @@ class ResidueField:
     """
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
-        if not sympy.isprime(p) or p == 2:
+        if not arith.isprime(p) or p == 2:
             raise InvalidModulus(f"characteristic must be an odd prime, got {p}")
         if not 1 <= k <= MAX_DEGREE:
             raise InvalidModulus(f"extension degree must be 1..{MAX_DEGREE}, got {k}")
@@ -68,7 +65,7 @@ class ResidueField:
             if len(modulus) != k + 1 or modulus[0] % p != 1:
                 raise InvalidModulus(f"{modulus} is not a monic polynomial of degree {k}")
             mod = tuple(c % p for c in modulus)
-            if not gf_irreducible_p(list(mod), p, ZZ):
+            if not arith.is_irreducible(mod, p):
                 raise InvalidModulus(f"{modulus} is reducible over F_{p}")
             self.modulus = mod
         elif k == 2:
@@ -162,7 +159,7 @@ class ResidueField:
 
 @lru_cache(maxsize=None)
 def default_field(q: int) -> ResidueField:
-    fac = sympy.factorint(q)
+    fac = arith.factorint(q)
     if q < 2 or len(fac) != 1:
         raise InvalidModulus(f"{q} is not a prime power")
     ((p, k),) = fac.items()

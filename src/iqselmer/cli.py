@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 
-import sympy
-
+from . import arith
 from .charsums import MAX_DEGREE, default_field, exception_scan
 from .congruent import (
     CongruentVerdict,
@@ -170,7 +169,7 @@ def _cmd_verify_squares(_args: argparse.Namespace) -> int:
 
 
 def _odd_prime_powers(lo: int, hi: int) -> list[int]:
-    return [q for q in range(lo, hi + 1) if q % 2 == 1 and len(sympy.factorint(q)) == 1]
+    return [q for q in range(lo, hi + 1) if q % 2 == 1 and len(arith.factorint(q)) == 1]
 
 
 def _degree4_exceptions_q9() -> tuple:
@@ -216,7 +215,7 @@ def _cmd_verify_charsum(args: argparse.Namespace) -> int:
 
 def _cmd_verify_trace(args: argparse.Namespace) -> int:
     F = make_field(args.disc)
-    split = [p for p in sympy.primerange(3, args.pmax + 1) if splitting_type(p, F).kind is PlaceKind.SPLIT]
+    split = [p for p in arith.primes_upto(args.pmax) if p > 2 and splitting_type(p, F).kind is PlaceKind.SPLIT]
     one, two = R8Elem(1, 0), R8Elem(2, 0)
 
     def check(p: int) -> tuple[int, bool, str, str]:
@@ -297,7 +296,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_verify_theorems(args: argparse.Namespace) -> int:
     F = make_field(args.disc)
-    odd_primes = list(sympy.primerange(3, args.pmax + 1))
+    odd_primes = [p for p in arith.primes_upto(args.pmax) if p > 2]
     inert = [p for p in odd_primes if splitting_type(p, F).kind is PlaceKind.INERT]
     split = [p for p in odd_primes if splitting_type(p, F).kind is PlaceKind.SPLIT]
 

@@ -10,8 +10,7 @@ their bases are returned as the spaces themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import sympy
+from math import isqrt
 
 from .errors import InternalInconsistency, RamifiedFactor
 from .localsolve import all_solvable, bad_places, everywhere_verdicts
@@ -96,9 +95,9 @@ def selmer_group(
 
 def full_two_torsion(b: int, D: int) -> bool:
     """Whether x^3 + b*x splits completely over Q(sqrt(D)): -b a square in K."""
-    if b < 0 and sympy.integer_nthroot(-b, 2)[1]:
+    if b < 0 and isqrt(-b) ** 2 == -b:
         return True
-    return b > 0 and sympy.integer_nthroot(b * abs(D), 2)[1]
+    return b > 0 and isqrt(b * abs(D)) ** 2 == b * abs(D)
 
 
 def selmer_rank2(spec: CurveSpec) -> SelmerReport:

@@ -26,8 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-import sympy
-
+from . import arith
 from .charsums import ResidueField
 from .errors import DomainError, EvenPlace, InternalInconsistency, UnknownVerdict
 from .quadfield import (
@@ -334,7 +333,7 @@ class _SplitLocal:
         return f"{x0 % self.p ** j} mod {self.p}^{j}"
 
     def sqrt_hint(self, u: int) -> str | None:
-        r = sympy.ntheory.sqrt_mod(u % self.p, self.p)
+        r = arith.sqrt_mod(u, self.p)
         return None if r is None else str(r)
 
 
@@ -521,7 +520,7 @@ class _RamifiedLocal:
         return f"{x0} mod pi^{j}"
 
     def sqrt_hint(self, u: QuadInt) -> str | None:
-        r = sympy.ntheory.sqrt_mod(residue_image(u, self.pl), self.p)
+        r = arith.sqrt_mod(residue_image(u, self.pl), self.p)
         return None if r is None else str(r)
 
 
@@ -662,7 +661,7 @@ def bad_places(odd_primes: Iterable[int] | HomSpace, F: FieldCtx) -> tuple[Place
     lone HomSpace stands for the primes of N(b1*b2), factored here.
     """
     if isinstance(odd_primes, HomSpace):
-        odd_primes = sympy.factorint(abs((odd_primes.b1 * odd_primes.b2).norm()))
+        odd_primes = arith.factorint(abs((odd_primes.b1 * odd_primes.b2).norm()))
     out = list(places_above(2, F))
     for p in sorted(odd_primes):
         if p != 2:

@@ -18,16 +18,22 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import sympy
-
-from .errors import DomainError, InvalidModulus, NotSplit, UnsupportedField, ZeroCoefficient
+from . import arith
+from .errors import (
+    DomainError,
+    InternalInconsistency,
+    InvalidModulus,
+    NotSplit,
+    UnsupportedField,
+    ZeroCoefficient,
+)
 
 SUPPORTED_DISCS = (-3, -11, -19, -43, -67, -163)
 
 
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p."""
-    if p < 3 or not sympy.isprime(p):
+    if p < 3 or not arith.isprime(p):
         raise InvalidModulus(f"modulus {p} is not an odd prime")
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
@@ -189,8 +195,9 @@ def make_field(D: int) -> FieldCtx:
     c = (1 - D) // 4
     # u^2 = -D/3 in Z_2; solving mod 2^8 pins u mod 64 once we fix u = 1 mod 4.
     target = (-D * pow(3, -1, 256)) % 256
-    roots = [r for r in sympy.ntheory.sqrt_mod(target, 256, all_roots=True) if r % 4 == 1]
-    assert roots and all(r % 64 == roots[0] % 64 for r in roots)
+    roots = [r for r in range(1, 256, 4) if r * r % 256 == target]
+    if not roots or any(r % 64 != roots[0] % 64 for r in roots):
+        raise InternalInconsistency(f"D={D}: roots {roots} of u^2 = -D/3 mod 256 do not fix u mod 64")
     return FieldCtx(D=D, omega_norm=c, seed=roots[0] % 64)
 
 
@@ -230,10 +237,12 @@ def _norm_equation_lattice(p: int, F: FieldCtx) -> QuadInt:
     # Lagrange-Gauss reduction on the ideal lattice (p, w - r) where r is a
     # root of x^2 - x + c mod p; the shortest vector generates the ideal.
     c = F.omega_norm
-    s = sympy.ntheory.sqrt_mod(F.D % p, p)  # disc of x^2 - x + c is D
-    assert s is not None
+    s = arith.sqrt_mod(F.D, p)  # disc of x^2 - x + c is D
+    if s is None:
+        raise InternalInconsistency(f"D={F.D} has no square root mod the split prime {p}")
     root = ((1 + s) * pow(2, -1, p)) % p
-    assert (root * root - root + c) % p == 0
+    if (root * root - root + c) % p:
+        raise InternalInconsistency(f"{root} is not a root of x^2 - x + {c} mod {p}")
     v1 = QuadInt(p, 0, c)
     v2 = QuadInt(-root, 1, c)
 
@@ -255,7 +264,7 @@ def _norm_equation_lattice(p: int, F: FieldCtx) -> QuadInt:
 @lru_cache(maxsize=None)
 def splitting_type(p: int, F: FieldCtx) -> SplitData:
     """How p splits in O_K; decided once per (p, field) and cached."""
-    if not sympy.isprime(p):
+    if not arith.isprime(p):
         raise InvalidModulus(f"{p} is not a prime")
     if p == 2:
         # D = 5 mod 8 for every supported field, so 2 is always inert.
@@ -394,7 +403,7 @@ def squarefree_factors(n: int) -> dict[int, int] | None:
     """The prime factorization of n if n is a positive squarefree integer, else None."""
     if n < 1:
         return None
-    fac = sympy.factorint(n)
+    fac = arith.factorint(n)
     return fac if all(e == 1 for e in fac.values()) else None
 
 
@@ -416,7 +425,7 @@ class CurveSpec:
         if self.b == 0:
             raise ZeroCoefficient("b must be nonzero")
         if self.factors is None:
-            object.__setattr__(self, "factors", tuple(sorted(sympy.factorint(abs(self.b)).items())))
+            object.__setattr__(self, "factors", tuple(sorted(arith.factorint(abs(self.b)).items())))
         elif math.prod(p**e for p, e in self.factors) != abs(self.b):
             raise DomainError(f"factors {self.factors} do not multiply to |b| = {abs(self.b)}")
         if any(e >= 4 for _, e in self.factors):
@@ -431,7 +440,7 @@ def curve_spec(b: int, F: FieldCtx) -> CurveSpec:
     """CurveSpec for b with fourth powers stripped (same curve class)."""
     if b == 0:
         raise ZeroCoefficient("b must be nonzero")
-    factors = tuple((p, e % 4) for p, e in sorted(sympy.factorint(abs(b)).items()) if e % 4)
+    factors = tuple((p, e % 4) for p, e in sorted(arith.factorint(abs(b)).items()) if e % 4)
     reduced = math.prod(p**e for p, e in factors)
     return CurveSpec(reduced if b > 0 else -reduced, F, factors)
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import iqselmer
 from iqselmer.charsums import chi, default_field
 from iqselmer.cli import main
 from iqselmer.congruent import SHA_HYPOTHESIS
@@ -231,3 +233,39 @@ def test_console_entry_point_end_to_end():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# one command of each kind; b = 1013 is inert and 122899 split in Q(sqrt(-3))
+_WITHOUT_SYMPY = """
+import contextlib, io, sys
+from iqselmer.cli import main
+
+for argv in (
+    ["selrank", "--disc", "-3", "--b", "1013", "--show-generators"],
+    ["selrank", "--disc", "-3", "--b", "-122899", "--show-generators"],
+    ["congruent", "scan", "--disc", "-11", "--max", "300"],
+    ["verify", "oracle", "--disc", "-3", "--bmax", "8"],
+    ["verify", "theorems", "--disc", "-19", "--pmax", "60"],
+    ["verify", "charsum", "--degree", "4", "--qmax", "81"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            raise SystemExit(f"{argv} failed")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+if loaded:
+    raise SystemExit(f"sympy was imported: {loaded[:5]}")
+"""
+
+
+def test_commands_run_without_importing_sympy():
+    # sympy is a reference for integers past arith.PROVEN_BOUND only
+    src = str(Path(iqselmer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SYMPY],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -11,6 +11,7 @@ import pytest
 import sympy
 
 import iqselmer
+from iqselmer import arith
 from iqselmer.descent import (
     closed_form_rank,
     full_two_torsion,
@@ -206,6 +207,7 @@ def test_cases_fired_matches_a_separate_pass():
 
 
 _OPTIMIZED_CHECKS = """
+import iqselmer.arith as arith
 import iqselmer.cli as cli
 import iqselmer.congruent as congruent
 import iqselmer.descent as descent
@@ -249,6 +251,15 @@ def unclosed_selmer_group():
         descent.all_solvable = saved
 
 
+def split_prime_without_square_root():
+    saved = arith.sqrt_mod
+    arith.sqrt_mod = lambda a, p: None
+    try:
+        splitting_type.__wrapped__(31, F)  # 31 splits in Q(sqrt(-3))
+    finally:
+        arith.sqrt_mod = saved
+
+
 def theorems_without_closed_form():
     saved = cli.closed_form_rank
     cli.closed_form_rank = lambda spec: None
@@ -277,6 +288,7 @@ cases = [
     (wrong_closed_form_rank, InternalInconsistency),
     (unclosed_selmer_group, InternalInconsistency),
     (theorems_without_closed_form, InternalInconsistency),
+    (split_prime_without_square_root, InternalInconsistency),  # an assert, gone under -O
     # arithmetic guards: without them -O hangs or answers wrongly
     (lambda: val_unit(F.of(0), inert5, F), ZeroCoefficient),  # looped forever
     (lambda: QuadInt(7, 0, 1).divide_exact(2), DomainError),  # gave 3
@@ -322,13 +334,13 @@ def test_selrank_factors_b_once(monkeypatch, capsys):
     from iqselmer.cli import main
 
     calls: list[int] = []
-    real = sympy.factorint
+    real = arith.factorint
 
-    def counting(n, *args, **kwargs):
+    def counting(n):
         calls.append(n)
-        return real(n, *args, **kwargs)
+        return real(n)
 
-    monkeypatch.setattr(sympy, "factorint", counting)
+    monkeypatch.setattr(arith, "factorint", counting)
     # split, inert and 2-power factors, a fourth power to strip, a ramified error
     for b in (17, -6916, 16 * 91, -25, 15):
         calls.clear()
