@@ -9,7 +9,6 @@ from .errors import (
     InvalidModulus,
     NotSplit,
     NotSquarefree,
-    RamifiedFactor,
     UnknownVerdict,
     UnsupportedField,
     ZeroCoefficient,

@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd
 
 from . import arith
-from .errors import DomainError, InvalidModulus, ZeroCoefficient
+from .errors import DomainError, InternalInconsistency, InvalidModulus, ZeroCoefficient
 from .quadfield import legendre_symbol
 
 Element = "int | tuple[int, ...]"
@@ -27,7 +27,7 @@ def _least_nonresidue(p: int) -> int:
     for n in range(2, p):
         if legendre_symbol(n, p) == -1:
             return n
-    raise AssertionError(f"no quadratic nonresidue mod {p}?")
+    raise InternalInconsistency(f"no quadratic nonresidue mod {p}")
 
 
 @lru_cache(maxsize=None)
@@ -38,7 +38,7 @@ def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
         f = (1, *tail)
         if arith.is_irreducible(f, p):
             return f
-    raise AssertionError(f"no irreducible of degree {k} over F_{p}?")
+    raise InternalInconsistency(f"no irreducible of degree {k} over F_{p}")
 
 
 class ResidueField:
@@ -164,10 +164,6 @@ def default_field(q: int) -> ResidueField:
         raise InvalidModulus(f"{q} is not a prime power")
     ((p, k),) = fac.items()
     return ResidueField(p, k)
-
-
-def chi(x, F: ResidueField) -> int:
-    return F.chi(x)
 
 
 def chi_exists(c, d, degree: int, F: ResidueField) -> bool:

@@ -151,7 +151,8 @@ def _cmd_congruent_scan(args: argparse.Namespace) -> int:
 def _cmd_verify_squares(_args: argparse.Namespace) -> int:
     # recompute: square all units of O/8 through the ring arithmetic
     units = [R8Elem(c0, c1) for c0 in range(8) for c1 in range(8) if R8Elem(c0, c1).is_unit()]
-    assert len(units) == 48  # 64 residues minus the 16 with both coords even
+    if len(units) != 48:  # 64 residues minus the 16 with both coords even
+        raise InternalInconsistency(f"{len(units)} units in O/8, not 48")
     squares = {u * u for u in units}
     fourths = {u**4 for u in units}
     payload = {

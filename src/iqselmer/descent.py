@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import InternalInconsistency, RamifiedFactor
+from .errors import InternalInconsistency
 from .localsolve import all_solvable, bad_places, everywhere_verdicts
 from .quadfield import (
     CurveSpec,
@@ -62,9 +62,6 @@ def selmer_group(
     """F_2-dimension and a canonical basis of the solvable classes, with the
     reasons of the local verdicts that decided the candidates."""
     F = spec.F
-    for p in spec.odd_primes:
-        if splitting_type(p, F).kind is PlaceKind.RAMIFIED:
-            raise RamifiedFactor(f"prime {p} dividing b ramifies in Q(sqrt({F.D}))")
     spaces = selmer_candidates(spec, side)
     places = bad_places(spec.odd_primes, F)  # those of every candidate
 

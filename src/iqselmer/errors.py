@@ -26,10 +26,6 @@ class NotSquarefree(DomainError):
     """Congruent-number routines require squarefree n."""
 
 
-class RamifiedFactor(DomainError):
-    """Descent pipeline rejects b divisible by a prime ramified in K."""
-
-
 class EvenPlace(DomainError):
     """Odd-place predicate called at residue characteristic 2."""
 

@@ -658,7 +658,8 @@ def bad_places(odd_primes: Iterable[int] | HomSpace, F: FieldCtx) -> tuple[Place
 
     For a curve the primes are CurveSpec.odd_primes, and the list is the same
     for every candidate space, as b1*b2 is -4b or b up to powers of 2.  A
-    lone HomSpace stands for the primes of N(b1*b2), factored here.
+    lone HomSpace stands for the primes of N(b1*b2), factored here; the
+    benchmark worker's oracle check calls that form.
     """
     if isinstance(odd_primes, HomSpace):
         odd_primes = arith.factorint(abs((odd_primes.b1 * odd_primes.b2).norm()))
@@ -692,10 +693,3 @@ def all_solvable(verdicts: tuple[tuple[Place, Verdict], ...]) -> bool:
         if verdict.tag is VerdictTag.Insolvable:
             return False
     return True
-
-
-def everywhere_solvable(s: HomSpace, F: FieldCtx) -> bool:
-    """True iff the space is solvable at the 2-adic place and every odd
-    place of bad reduction (good odd places and the archimedean place are
-    automatically solvable)."""
-    return all_solvable(everywhere_verdicts(s, F, bad_places(s, F)))

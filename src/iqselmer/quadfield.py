@@ -215,7 +215,8 @@ def canonical_associate(x: QuadInt, F: FieldCtx) -> QuadInt:
     if positive:
         return min(positive, key=lambda y: (y.trace(), -y.a))
     zero = [y for y in assocs if y.trace() == 0 and y.b > 0]
-    assert zero, "associate search exhausted"
+    if not zero:
+        raise InternalInconsistency(f"no associate of {x} has positive trace or b > 0")
     return max(zero, key=lambda y: y.a)
 
 
@@ -257,7 +258,8 @@ def _norm_equation_lattice(p: int, F: FieldCtx) -> QuadInt:
         v1 = v1 - m * v2
         if v1.norm() >= v2.norm():
             break
-    assert v2.norm() == p
+    if v2.norm() != p:
+        raise InternalInconsistency(f"reduced lattice vector {v2} has norm {v2.norm()}, not {p}")
     return v2
 
 
@@ -279,9 +281,9 @@ def splitting_type(p: int, F: FieldCtx) -> SplitData:
         # does not depend on which one the norm-equation solver found.
         cand1 = canonical_associate(raw, F)
         cand2 = canonical_associate(raw.conj(), F)
-        assert cand1.trace() == cand2.trace()
         alpha = cand1 if cand1.a >= cand2.a else cand2
-        assert alpha.norm() == p
+        if cand1.trace() != cand2.trace() or alpha.norm() != p:
+            raise InternalInconsistency(f"{cand1} and {cand2} are not conjugate primes above {p}")
         return SplitData(p=p, kind=PlaceKind.SPLIT, alpha=alpha, t=alpha.trace())
     return SplitData(p=p, kind=PlaceKind.INERT)
 
@@ -289,7 +291,6 @@ def splitting_type(p: int, F: FieldCtx) -> SplitData:
 def trace_character(s: SplitData) -> int:
     if s.kind is not PlaceKind.SPLIT:
         raise NotSplit(f"p={s.p} does not split")
-    assert s.t is not None
     return legendre_symbol(s.t, s.p)
 
 
@@ -323,13 +324,14 @@ def places_above(p: int, F: FieldCtx) -> tuple[Place, ...]:
     if data.kind is PlaceKind.RAMIFIED:
         # w = (1 + sqrt(D))/2 maps to 1/2 in the residue field
         return (Place(PlaceKind.RAMIFIED, p, p, F.sqrt_disc(), pow(2, -1, p)),)
-    assert data.alpha is not None
     out = []
     for alpha in (data.alpha, data.alpha.conj()):
         # alpha | (w - r): r = -a/b mod p in the basis alpha = a + b*w
-        assert alpha.b % p != 0
+        if alpha.b % p == 0:
+            raise InternalInconsistency(f"prime element {alpha} above {p} has b divisible by {p}")
         r = (-alpha.a * pow(alpha.b, -1, p)) % p
-        assert (r * r - r + F.omega_norm) % p == 0
+        if (r * r - r + F.omega_norm) % p:
+            raise InternalInconsistency(f"{r} is not a root of x^2 - x + {F.omega_norm} mod {p}")
         out.append(Place(PlaceKind.SPLIT, p, p, alpha, r))
     return tuple(out)
 
@@ -356,7 +358,8 @@ def val_unit(x: "QuadInt | int", place: Place, F: FieldCtx) -> tuple[int, QuadIn
 
 def residue_image(x: QuadInt, place: Place) -> int:
     """Image of x in the residue field F_p at a split or ramified place."""
-    assert place.omega_image is not None
+    if place.omega_image is None:
+        raise DomainError(f"the residue field at {place} is not F_p")
     return (x.a + x.b * place.omega_image) % place.p
 
 
@@ -456,7 +459,6 @@ def descent_generators(spec: CurveSpec) -> tuple[QuadInt, ...]:
     for p in spec.odd_primes:
         data = splitting_type(p, F)
         if data.kind is PlaceKind.SPLIT:
-            assert data.alpha is not None
             gens.append(data.alpha)
             gens.append(data.alpha.conj())
         elif data.kind is PlaceKind.RAMIFIED:

@@ -20,7 +20,9 @@ from iqselmer.quadfield import SUPPORTED_DISCS
 GOLDEN = Path(__file__).with_name("cli_outputs.json")
 
 # inert, split and ramified primes of every field, powers of 2, negative
-# squares, a fourth power to strip and products of three split primes
+# squares, a fourth power to strip and products of three split primes; b
+# divisible by the ramified prime |D| (12, 15 and -33 on D = -3, -33 on -11,
+# -1729 and 6916 on -19) is ranked like every other b
 SELRANK_B = (1, -1, 2, -4, 12, 17, -5, 13, -25, 15, -33, 405, -1729, 6916)
 
 # every k_reason form (inert, split and ramified factors, gcd with D) and

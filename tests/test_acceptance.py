@@ -19,7 +19,7 @@ from math import gcd
 
 import sympy
 
-from iqselmer.charsums import chi, chi_exists, default_field, exception_scan
+from iqselmer.charsums import chi_exists, default_field, exception_scan
 from iqselmer.congruent import scan_new_congruent
 from iqselmer.descent import selmer_rank2
 from iqselmer.localsolve import (
@@ -194,7 +194,7 @@ def _quartic_exceptions_q9() -> tuple:
     # d, d + c, d - c.  For d a nonsquare and c = +/-d these are d, -d and 0,
     # and -d is a nonsquare too because -1 is a square in F_9.
     F9 = default_field(9)
-    nonsquares = [x for x in F9.elements() if chi(x, F9) == -1]
+    nonsquares = [x for x in F9.elements() if F9.chi(x) == -1]
     return tuple(sorted((c, d) for d in nonsquares for c in (d, F9.neg(d))))
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from iqselmer.charsums import (
     ResidueField,
-    chi,
     chi_exists,
     default_field,
     exception_scan,
@@ -16,22 +15,22 @@ from iqselmer.quadfield import legendre_symbol
 
 def test_chi_prime_field():
     F13 = default_field(13)
-    assert chi(4, F13) == 1
-    assert chi(5, F13) == -1
-    assert chi(0, F13) == 0
+    assert F13.chi(4) == 1
+    assert F13.chi(5) == -1
+    assert F13.chi(0) == 0
     for x in range(1, 13):
-        assert chi(x, F13) == legendre_symbol(x, 13)
+        assert F13.chi(x) == legendre_symbol(x, 13)
 
 
 def test_chi_f9():
     F9 = default_field(9)
     assert F9.p == 3 and F9.k == 2 and F9.q == 9
-    assert chi((0, 0), F9) == 0
+    assert F9.chi((0, 0)) == 0
     # chi is identically 1 on the prime subfield's nonzero part
-    assert chi((1, 0), F9) == 1
-    assert chi((2, 0), F9) == 1
+    assert F9.chi((1, 0)) == 1
+    assert F9.chi((2, 0)) == 1
     # exactly (q-1)/2 = 4 nonsquares
-    vals = [chi(x, F9) for x in F9.elements()]
+    vals = [F9.chi(x) for x in F9.elements()]
     assert vals.count(1) == 4 and vals.count(-1) == 4 and vals.count(0) == 1
 
 
@@ -39,7 +38,7 @@ def test_prime_subfield_squares_in_quadratic_extension():
     for p in (5, 13, 17):
         F = default_field(p * p)
         for t in range(1, p):
-            assert chi(t, F) == 1
+            assert F.chi(t) == 1
 
 
 def test_chi_exists_examples():
@@ -78,7 +77,7 @@ def test_quartic_existence_no_exceptions(q):
 def test_quartic_exceptions_q9():
     # the eight genuine failures at q = 9: c = +/- d with d a nonsquare
     F9 = default_field(9)
-    nonsquares = [x for x in F9.elements() if chi(x, F9) == -1]
+    nonsquares = [x for x in F9.elements() if F9.chi(x) == -1]
     assert len(nonsquares) == 4
     expect = set()
     for d in nonsquares:
@@ -97,7 +96,7 @@ def test_custom_quadratic_modulus():
     F = ResidueField(17, 2, modulus=(1, -1, 1))
     z = (0, 1)
     assert F.mul(z, z) == F.add(z, F.neg(F.one))  # z^2 = z - 1
-    assert chi((3, 0), F) == 1
+    assert F.chi((3, 0)) == 1
     with pytest.raises(InvalidModulus):
         ResidueField(13, 2, modulus=(1, -1, 1))  # -3 is a square mod 13
     with pytest.raises(InvalidModulus):
@@ -114,7 +113,7 @@ def test_fourth_power_predicate():
     # q = 3 mod 4: fourth powers are exactly the squares
     F7 = default_field(7)
     for x in range(1, 7):
-        assert F7.is_fourth_power(x) == (chi(x, F7) == 1)
+        assert F7.is_fourth_power(x) == (F7.chi(x) == 1)
     F27 = default_field(27)
     brute27 = {F27.pow(x, 4) for x in F27.elements() if x != F27.zero}
     fp27 = {x for x in F27.elements() if F27.is_fourth_power(x)}

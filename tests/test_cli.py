@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import iqselmer
-from iqselmer.charsums import chi, default_field
+from iqselmer.charsums import default_field
 from iqselmer.cli import main
 from iqselmer.congruent import SHA_HYPOTHESIS
 
@@ -64,9 +64,11 @@ def test_selrank_unsupported_field(capsys):
 
 
 def test_selrank_ramified_coefficient(capsys):
+    # 3 ramifies in Q(sqrt(-3)); b = 15 is ranked like any other b
     code, out = run_cli(capsys, "selrank", "--disc", "-3", "--b", "15")
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "RamifiedFactor"
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["dim_phi"], payload["dim_phihat"], payload["sel_rank2"]) == (2, 1, 1)
 
 
 def test_usage_error_exit_2(capsys):
@@ -146,7 +148,7 @@ def test_verify_charsum_degree4_known_exceptions(capsys):
     assert payload["exceptions"] == {"5": [[1, 2], [2, 3], [3, 2], [4, 3]]}
     # q = 9 carries eight genuine exceptions, (c, d) = (+/-d, d) with d a nonsquare
     F9 = default_field(9)
-    nonsquares = [x for x in F9.elements() if chi(x, F9) == -1]
+    nonsquares = [x for x in F9.elements() if F9.chi(x) == -1]
     want_q9 = sorted([list(c), list(d)] for d in nonsquares for c in (d, F9.neg(d)))
     assert len(want_q9) == 8
     code, out = run_cli(capsys, "verify", "charsum", "--degree", "4", "--qmax", "10")

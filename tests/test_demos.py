@@ -26,7 +26,10 @@ def test_demos_run():
     # each rank_table cell asserts the pipeline against the closed form
     table = _run_demo("rank_table.py", "--bmax", "6")
     assert table.returncode == 0, table.stderr
-    assert len(table.stdout.splitlines()) == 13  # header and b = +-1..+-6
+    rows = table.stdout.splitlines()
+    assert len(rows) == 13  # header and b = +-1..+-6
+    # a rank in every cell, b = +-3 on D = -3 (ramified) included
+    assert all(cell.isdigit() for row in rows[1:] for cell in row.split()[1:])
 
     survey = _run_demo("congruent_survey.py", "--disc", "-3", "--max", "100")
     assert survey.returncode == 0, survey.stderr

@@ -1,6 +1,7 @@
 """Selmer group assembly and the closed-form rank formulas."""
 from __future__ import annotations
 
+import ast
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ from iqselmer.descent import (
     selmer_group,
     selmer_rank2,
 )
-from iqselmer.errors import DomainError, RamifiedFactor, ZeroCoefficient
+from iqselmer.errors import DomainError, ZeroCoefficient
 from iqselmer.localsolve import bad_places, everywhere_verdicts
 from iqselmer.quadfield import (
     SUPPORTED_DISCS,
@@ -26,10 +27,12 @@ from iqselmer.quadfield import (
     PlaceKind,
     Side,
     curve_spec,
+    descent_generators,
     make_field,
     places_above,
     selmer_candidates,
     splitting_type,
+    squarefree_factors,
 )
 
 F3 = make_field(-3)
@@ -83,13 +86,53 @@ def test_full_two_torsion():
     assert not full_two_torsion(3, -11)
 
 
-def test_ramified_factor_rejected():
-    with pytest.raises(RamifiedFactor):
-        selmer_group(curve_spec(15, F3), Side.PHI)
-    with pytest.raises(RamifiedFactor):
-        selmer_rank2(curve_spec(-33, F11))
+def test_ramified_coefficients_are_ranked():
+    # b divisible by the ramified prime |D| goes through the one descent:
+    # sqrt(D) is a generator and the ramified place is a bad place
+    spec = curve_spec(15, F3)
+    assert [str(g) for g in descent_generators(spec)] == ["-1", "2", "-1+2*w", "5"]
+    assert bad_places(spec.odd_primes, F3)[1].kind is PlaceKind.RAMIFIED  # (sqrt(-3)) over 3
+    dim, gens, _ = selmer_group(spec, Side.PHI)
+    assert dim == 2
+    assert [str(g.b1) for g in gens] == ["2", "5"]
+
+    rep = selmer_rank2(curve_spec(-33, F11))
+    assert (rep.dim_phi, rep.dim_phihat, rep.sel_rank2) == (2, 1, 1)
+    assert [str(g.b1) for g in rep.gens_phihat] == ["3"]
+    assert rep.gens_phihat[0].torsion
     # the closed forms simply decline such b
     assert closed_form_rank(curve_spec(15, F3)) is None
+
+
+def test_ramified_isogeny_swaps_the_dimensions():
+    # E: y^2 = x^3 + b*x and E': y^2 = x^3 - 4b*x are 2-isogenous, and E'' is
+    # E again (16b = b mod fourth powers), so the phi side of one curve is
+    # the phihat side of the other; b = |D|*k, 1 <= |k| <= 20, six fields
+    curves = [(make_field(D), abs(D) * k) for D in SUPPORTED_DISCS for k in range(-20, 21) if k]
+    for F, b in curves:
+        rep, partner = selmer_rank2(curve_spec(b, F)), selmer_rank2(curve_spec(-4 * b, F))
+        assert (rep.dim_phi, rep.dim_phihat) == (partner.dim_phihat, partner.dim_phi), (b, F.D)
+
+
+def _root_number(m: int) -> int:
+    # w(E_m/Q) for squarefree m > 0: +1 exactly when m = 1, 2 or 3 mod 8
+    return 1 if m % 8 in (1, 2, 3) else -1
+
+
+def test_ramified_congruent_curves_match_root_number_parity():
+    # sel_rank2(E_n/K) is odd exactly when w(E_n) * w(E_{|D|n}) = -1 (Monsky's
+    # parity over Q for E_n and its twist by D); for |D| | n the twist is
+    # E_{n/|D|}.  Every squarefree n <= 1000 divisible by |D|, six fields.
+    checked = 0
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        for n in range(abs(D), 1001, abs(D)):
+            if squarefree_factors(n) is None:
+                continue
+            rank = selmer_rank2(curve_spec(-n * n, F)).sel_rank2
+            assert rank % 2 == (_root_number(n) * _root_number(n // abs(D)) == -1), (n, D)
+            checked += 1
+    assert checked == 263
 
 
 def test_closed_form_rank_shapes():
@@ -108,19 +151,14 @@ def test_closed_form_rank_shapes():
 
 def test_fourth_power_invariance():
     rng = random.Random(20260815)
-    count = 0
-    while count < 20:
+    for _ in range(20):
         b = rng.randint(2, 120) * rng.choice((1, -1))
         spec = curve_spec(b, F3)
-        try:
-            base = selmer_rank2(spec).sel_rank2
-        except RamifiedFactor:
-            continue
+        base = selmer_rank2(spec).sel_rank2
         for c in (2, 3):
             scaled = curve_spec(b * c**4, F3)
             assert scaled.b == spec.b
             assert selmer_rank2(scaled).sel_rank2 == base
-        count += 1
 
 
 def test_curve_spec_validation():
@@ -188,15 +226,9 @@ def test_cases_fired_matches_a_separate_pass():
         for s in (1, -1)
     ]
     curves += [(F3, 7 * 13 * 19), (F3, -7 * 13 * 19)]
-    checked = 0
     for F, b in curves:
-        try:
-            rep = selmer_rank2(curve_spec(b, F))
-        except RamifiedFactor:
-            continue
+        rep = selmer_rank2(curve_spec(b, F))
         assert rep.cases_fired == _recounted_cases(b, F), (b, F.D)
-        checked += 1
-    assert checked > 300
 
     assert selmer_rank2(curve_spec(17, F3)).cases_fired == (
         "odd:square-unit-coefficient",
@@ -214,8 +246,10 @@ import iqselmer.descent as descent
 from iqselmer.charsums import ResidueField, chi_exists, default_field, exception_scan
 from iqselmer.errors import DomainError, InternalInconsistency, InvalidModulus, ZeroCoefficient
 from iqselmer.localsolve import HomSpace, _chi_unit, everywhere_verdicts
+import iqselmer.quadfield as quadfield
 from iqselmer.quadfield import (
-    CurveSpec, QuadInt, Side, canonical_associate, make_field, places_above, splitting_type, val_unit,
+    CurveSpec, QuadInt, Side, canonical_associate, make_field, places_above, residue_image, splitting_type,
+    val_unit,
 )
 from iqselmer.residue2adic import R8Elem, embed_pair, pair_charpoly_mod8, zpow
 
@@ -260,6 +294,15 @@ def split_prime_without_square_root():
         arith.sqrt_mod = saved
 
 
+def split_prime_with_a_wrong_norm():
+    saved = quadfield._norm_equation_lattice
+    quadfield._norm_equation_lattice = lambda p, F: F.of(2)  # norm 4, not p
+    try:
+        splitting_type.__wrapped__(31, F)
+    finally:
+        quadfield._norm_equation_lattice = saved
+
+
 def theorems_without_closed_form():
     saved = cli.closed_form_rank
     cli.closed_form_rank = lambda spec: None
@@ -289,6 +332,8 @@ cases = [
     (unclosed_selmer_group, InternalInconsistency),
     (theorems_without_closed_form, InternalInconsistency),
     (split_prime_without_square_root, InternalInconsistency),  # an assert, gone under -O
+    (split_prime_with_a_wrong_norm, InternalInconsistency),  # an assert, gone under -O
+    (lambda: residue_image(F.of(1), inert5), DomainError),  # an assert, gone under -O
     # arithmetic guards: without them -O hangs or answers wrongly
     (lambda: val_unit(F.of(0), inert5, F), ZeroCoefficient),  # looped forever
     (lambda: QuadInt(7, 0, 1).divide_exact(2), DomainError),  # gave 3
@@ -330,6 +375,15 @@ def test_input_checks_survive_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so no check in src/ may be one
+    found = []
+    for path in sorted(Path(iqselmer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_selrank_factors_b_once(monkeypatch, capsys):
     from iqselmer.cli import main
 
@@ -341,7 +395,7 @@ def test_selrank_factors_b_once(monkeypatch, capsys):
         return real(n)
 
     monkeypatch.setattr(arith, "factorint", counting)
-    # split, inert and 2-power factors, a fourth power to strip, a ramified error
+    # split, inert, ramified and 2-power factors, a fourth power to strip
     for b in (17, -6916, 16 * 91, -25, 15):
         calls.clear()
         main(["selrank", "--disc", "-3", "--b", str(b), "--show-generators"])

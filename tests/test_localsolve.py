@@ -17,8 +17,8 @@ from iqselmer.localsolve import (
     HomSpace,
     SolveWitness,
     VerdictTag,
+    all_solvable,
     bad_places,
-    everywhere_solvable,
     everywhere_verdicts,
     oracle_search,
     predicate_odd_place,
@@ -299,8 +299,9 @@ def test_oracle_honest_unknown_on_degenerate_quartic():
 
 
 AGREEMENT_RANGES = [
-    (F3, (-10, -7, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10, 15, -15)),
-    (F11, (-5, -3, 3, 5, 6)),
+    # the ramified prime to exponents 1, 2 and 3 on D = -3, and 2 on D = -11
+    (F3, (-10, -7, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10, 15, -15, 9, -9, 18, -18, 27, -27, -54)),
+    (F11, (-5, -3, 3, 5, 6, 121, -121, 242)),
     (F19, (3, -6)),  # 3 is inert here: exercises the 9-element residue field
 ]
 
@@ -324,8 +325,8 @@ def test_predicate_oracle_agreement(F, bs):
                     assert pred.tag is orc.tag, (
                         b,
                         side,
-                        str(cand.b1),
-                        str(cand.b2),
+                        str(s.b1),
+                        str(s.b2),
                         str(pl),
                         pred.reason,
                         orc.reason,
@@ -784,16 +785,16 @@ def test_everywhere_solvable_examples():
         cands = selmer_candidates(CurveSpec(b, F3), Side.PHIHAT)
         tors = [c for c in cands if c.torsion and not c.b1.is_unit()]
         for s in tors:
-            assert everywhere_solvable(s, F3)
+            assert all_solvable(everywhere_verdicts(s, F3, bad_places(s, F3)))
 
     # the (-1, 68) member of the b = 17 descent is everywhere solvable
     cands = selmer_candidates(CurveSpec(17, F3), Side.PHI)
     s = next(c for c in cands if c.b1 == F3.of(-1))
-    assert everywhere_solvable(s, F3)
+    assert all_solvable(everywhere_verdicts(s, F3, bad_places(s, F3)))
 
     # residue-5 pattern: (2b_i, -2p_i) with b = b_i*p_i = 5 mod 8 fails at 2
     s = HomSpace.make(2, -10, F3)
-    assert not everywhere_solvable(s, F3)
+    assert not all_solvable(everywhere_verdicts(s, F3, bad_places(s, F3)))
 
 
 def test_bad_places_cover_divisors():
@@ -808,8 +809,6 @@ def test_everywhere_verdicts_rejects_a_middle_term():
     s = HomSpace.make(1, -4 * 17, F3, a=2)
     with pytest.raises(DomainError):
         everywhere_verdicts(s, F3, bad_places(s, F3))
-    with pytest.raises(DomainError):
-        everywhere_solvable(s, F3)
 
 
 def test_everywhere_verdicts_reasons():
