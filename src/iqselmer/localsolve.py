@@ -8,8 +8,14 @@ over the completion K_v:
 
 * closed-form predicates, which inspect valuations and residue characters
   of the coefficients (complete for a = 0; partial criteria for a != 0);
-* a brute-force residue search with Hensel certificates (oracle_search),
-  which shares no logic with the predicates and is used to validate them.
+* a brute-force residue search (oracle_search), which shares no logic with
+  the predicates and is used to validate them.  It refines residue classes
+  x0 + pi^j O of each chart's quartic f and decides a class by one of two
+  certificates: Hensel's lemma (nu(f(x0)) > 2 nu(f'(x0)) gives a root), or
+  a Taylor-precision bound: the expansion f(x0 + h) - f(x0) = t1 h + t2 h^2
+  + t3 h^3 + c4 h^4 has valuation at least P = min(j + nu(t1), 2j + nu(t2),
+  3j + nu(t3), 4j + nu(c4)) for h in pi^j O, so when nu(f(x0)) + need <= P
+  every member of the class has the valuation and unit class of f(x0).
 
 The predicates read charsums.ResidueField (an enumerated F_{p^2}) only for
 characters at inert places; the oracle tests squares with its own pair
@@ -296,18 +302,21 @@ class _SplitLocal:
         return (x * y) % self.mod
 
     def quartic(self, c4: int, c2: int, c0: int):
-        """f(x) = c4*x^4 + c2*x^2 + c0 and f'(x), both mod p^M."""
+        """f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor coefficients
+        (t1, t2, t3) = (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x), all mod p^M."""
         mod = self.mod
-        d4, d2 = 4 * c4, 2 * c2
+        d4, d2, e4 = 4 * c4, 2 * c2, 6 * c4
 
         def f(x: int) -> int:
             x2 = x * x
             return (c4 * x2 * x2 + c2 * x2 + c0) % mod
 
-        def fprime(x: int) -> int:
-            return (d4 * x * x * x + d2 * x) % mod
+        def taylor(x: int) -> tuple[int, int, int]:
+            x2 = x * x
+            t3 = d4 * x
+            return (t3 * x2 + d2 * x) % mod, (e4 * x2 + c2) % mod, t3 % mod
 
-        return f, fprime
+        return f, taylor
 
     def nu(self, x: int) -> int:
         if x == 0:
@@ -365,13 +374,15 @@ class _PairLocal:
         )
 
     def quartic(self, c4: Pair, c2: Pair, c0: Pair):
-        """f(x) = c4*x^4 + c2*x^2 + c0 and f'(x) on pairs mod p^M, from
-        (a + b*w)^2 = (a^2 - c*b^2) + (2*a*b + b^2)*w as w^2 = w - c."""
+        """f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor coefficients
+        (t1, t2, t3) = (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x) on pairs mod p^M,
+        from (a + b*w)(x + y*w) = (ax - c*by) + (ay + bx + by)*w as
+        w^2 = w - c."""
         mod, c = self.mod, self.c
         a4, b4 = c4
         a2, b2 = c2
         a0, b0 = c0
-        d4a, d4b, d2a, d2b = 4 * a4, 4 * b4, 2 * a2, 2 * b2
+        d4a, d4b, d2a, d2b, e4a, e4b = 4 * a4, 4 * b4, 2 * a2, 2 * b2, 6 * a4, 6 * b4
 
         def f(x: Pair) -> Pair:
             a, b = x
@@ -382,16 +393,23 @@ class _PairLocal:
                 (a4 * v + b4 * (u + v) + a2 * t + b2 * (s + t) + b0) % mod,
             )
 
-        def fprime(x: Pair) -> Pair:
+        def taylor(x: Pair) -> tuple[Pair, Pair, Pair]:
             a, b = x
             s, t = a * a - c * b * b, b * (2 * a + b)  # x^2
             u, v = s * a - c * t * b, s * b + t * (a + b)  # x^3
             return (
-                (d4a * u - c * d4b * v + d2a * a - c * d2b * b) % mod,
-                (d4a * v + d4b * (u + v) + d2a * b + d2b * (a + b)) % mod,
+                (
+                    (d4a * u - c * d4b * v + d2a * a - c * d2b * b) % mod,
+                    (d4a * v + d4b * (u + v) + d2a * b + d2b * (a + b)) % mod,
+                ),
+                (
+                    (e4a * s - c * e4b * t + a2) % mod,
+                    (e4a * t + e4b * (s + t) + b2) % mod,
+                ),
+                ((d4a * a - c * d4b * b) % mod, (d4a * b + d4b * (a + b)) % mod),
             )
 
-        return f, fprime
+        return f, taylor
 
     def nu(self, x: Pair) -> int:
         k = 0
@@ -478,17 +496,20 @@ class _RamifiedLocal:
         return x * y
 
     def quartic(self, c4: QuadInt, c2: QuadInt, c0: QuadInt):
-        """f(x) = c4*x^4 + c2*x^2 + c0 and f'(x), exact in O_K."""
-        d4, d2 = 4 * c4, 2 * c2
+        """f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor coefficients
+        (t1, t2, t3) = (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x), exact in O_K."""
+        d4, d2, e4 = 4 * c4, 2 * c2, 6 * c4
 
         def f(x: QuadInt) -> QuadInt:
             x2 = x * x
             return c4 * (x2 * x2) + c2 * x2 + c0
 
-        def fprime(x: QuadInt) -> QuadInt:
-            return d4 * (x * x * x) + d2 * x
+        def taylor(x: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
+            x2 = x * x
+            t3 = d4 * x
+            return t3 * x2 + d2 * x, e4 * x2 + c2, t3
 
-        return f, fprime
+        return f, taylor
 
     def _vp(self, n: int) -> int:
         if n == 0:
@@ -558,36 +579,46 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
     f(x) = c4 x^4 + c2 x^2 + c0 (content already stripped; shift = removed
     content, so total valuation = shift + nu(f)), one depth j at a time.
 
+    Certificate: the class x0 + pi^j O, with k = nu(f(x0)), is decided once
+    k + need <= P = min(M, j + nu(t1), 2j + nu(t2), 3j + nu(t3), 4j + nu(c4)),
+    where (t1, t2, t3) = taylor(x0) from adapter.quartic.  Proof: for h in
+    pi^j O, f(x0 + h) - f(x0) = t1 h + t2 h^2 + t3 h^3 + c4 h^4 has valuation
+    at least P (values are known mod pi^M), so every member of the class has
+    valuation k and the unit class of f(x0) mod pi^need.  P >= j, and the
+    case P = j (k + need <= j) is tried first, without Taylor coefficients.
+    A class with k >= j > 2 nu(t1) holds a root by Hensel's lemma, as
+    t1 = f'(x0).
+
     Returns (_CHART_SOLVED, witness) / (_CHART_DEAD, None) /
     (_CHART_EXHAUSTED, live_count).
     """
-    f, fprime = adapter.quartic(c4, c2, c0)
-    nu, need, children = adapter.nu, adapter.need, adapter.children
+    f, taylor = adapter.quartic(c4, c2, c0)
+    nu, need, children, M = adapter.nu, adapter.need, adapter.children, adapter.M
+    n4 = nu(c4)
     level = [adapter.zero]
     for j in range(cap + 1):
         live = []
         for x0 in level:
             val = f(x0)
             k = nu(val)
-            if k < j:
-                # the whole class has valuation exactly k
-                if j - k >= need:
-                    if (shift + k) % 2 == 0 and adapter.is_unit_square(
-                        adapter.shift_down(val, k)
-                    ):
-                        hint = adapter.sqrt_hint(adapter.shift_down(val, k)) if k == 0 else None
-                        wit = SolveWitness(
-                            u=adapter.describe(x0, j), w="1", v=hint, precision=j
-                        )
-                        return _CHART_SOLVED, wit
-                    continue  # certified non-square for every member
-            else:
-                kd = nu(fprime(x0))
-                if kd < j and j > 2 * kd:
-                    # Hensel: f has an exact root in this class; v = 0 point
+            if k + need > j:
+                t1, t2, t3 = taylor(x0)
+                kd = nu(t1)
+                if k >= j > 2 * kd:
+                    # Hensel: f has an exact root; v = 0 point
                     wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
                     return _CHART_SOLVED, wit
-            live.append(x0)
+                if k + need > min(M, j + kd, 2 * j + nu(t2), 3 * j + nu(t3), 4 * j + n4):
+                    live.append(x0)
+                    continue
+            # the whole class has valuation exactly k and the unit class of val
+            if (shift + k) % 2 == 0:
+                unit = adapter.shift_down(val, k)
+                if adapter.is_unit_square(unit):
+                    hint = adapter.sqrt_hint(unit) if k == 0 else None
+                    wit = SolveWitness(u=adapter.describe(x0, j), w="1", v=hint, precision=j)
+                    return _CHART_SOLVED, wit
+            # otherwise certified non-square for every member
         if not live:
             return _CHART_DEAD, None
         if j == cap:
@@ -599,8 +630,11 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
     """Decide solvability at pl by enumerating residue classes.
 
     Searches both dehomogenized charts (w = 1 and u = 1) with increasing
-    pi-adic depth, certifying squares by unit-part residues and roots by
-    the Hensel criterion.  Independent of the predicate route.
+    pi-adic depth.  A class is certified a square or a non-square once the
+    Taylor bound of _decide_chart pins f's valuation and unit class on all of
+    it, and certified to hold a root by the Hensel criterion.  A space whose
+    coefficients' valuations differ is thus decided within a few depths,
+    not after about q^|v1 - v2| classes.  Independent of the predicate route.
     """
     if max_precision is not None and max_precision < 1:
         raise DomainError(f"search precision must be at least 1, got {max_precision}")

@@ -176,6 +176,22 @@ def test_verify_oracle_rejects_nonpositive_precision(capsys, precision):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("precision,undecided", [("1", 139), ("3", 8), ("4", 0), ("5", 0)])
+def test_verify_oracle_precision_leaves_few_classes_undecided(capsys, precision, undecided):
+    # a residue class is decided once the Taylor bound pins f on it, so a
+    # depth cap leaves fewer searches undecided (336, 163, 106 and 12 when a
+    # class was decided only by the depth itself); no verdict disagrees
+    code, out = run_cli(
+        capsys, "verify", "oracle", "--disc", "-3", "--bmax", "12", "--precision", precision
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["place_checks"] == 544
+    assert len(payload["undecided"]) == undecided
+    assert payload["disagreements"] == []
+    assert payload["pass"] is (undecided == 0)
+
+
 def test_verify_trace_lemma(capsys):
     code, out = run_cli(capsys, "verify", "trace-lemma", "--disc", "-11", "--pmax", "150")
     assert code == 0
