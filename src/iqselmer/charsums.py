@@ -21,6 +21,8 @@ Element = "int | tuple[int, ...]"
 
 # highest extension degree k of a residue field F_{p^k}
 MAX_DEGREE = 4
+# largest field order: the square set of F_q is enumerated on first use
+MAX_ORDER = 10**8
 
 
 def _least_nonresidue(p: int) -> int:
@@ -56,6 +58,8 @@ class ResidueField:
             raise InvalidModulus(f"characteristic must be an odd prime, got {p}")
         if not 1 <= k <= MAX_DEGREE:
             raise InvalidModulus(f"extension degree must be 1..{MAX_DEGREE}, got {k}")
+        if p**k > MAX_ORDER:
+            raise DomainError(f"F_{p}^{k} has more than {MAX_ORDER} elements to enumerate")
         self.p = p
         self.k = k
         self.q = p**k

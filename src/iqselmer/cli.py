@@ -262,18 +262,20 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
             for pl, pred in everywhere_verdicts(space, F, places):
                 orc = oracle_search(space, pl, max_precision=args.precision)
                 checks += 1
-                item = {
+                if VerdictTag.Unknown in (pred.tag, orc.tag):
+                    failed = undecided
+                elif pred.tag is not orc.tag:
+                    failed = disagreements
+                else:
+                    continue  # a row is built only for a failed check
+                failed.append({
                     "b": spec.b,
                     "side": space.side.value,
                     "b1": str(space.b1),
                     "place": _place_label(pl),
                     "predicate": pred.tag.value,
                     "oracle": orc.tag.value,
-                }
-                if VerdictTag.Unknown in (pred.tag, orc.tag):
-                    undecided.append(item)
-                elif pred.tag is not orc.tag:
-                    disagreements.append(item)
+                })
         return spaces, checks, undecided, disagreements
 
     rows = [sweep(spec) for spec in specs]

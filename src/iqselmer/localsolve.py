@@ -9,17 +9,21 @@ over the completion K_v:
 * closed-form predicates, which inspect valuations and residue characters
   of the coefficients (complete for a = 0; partial criteria for a != 0);
 * a brute-force residue search (oracle_search), which shares no logic with
-  the predicates and is used to validate them.  It refines residue classes
-  x0 + pi^j O of each chart's quartic f and decides a class by one of two
-  certificates: Hensel's lemma (nu(f(x0)) > 2 nu(f'(x0)) gives a root), or
-  a Taylor-precision bound: the expansion f(x0 + h) - f(x0) = t1 h + t2 h^2
-  + t3 h^3 + c4 h^4 has valuation at least P = min(j + nu(t1), 2j + nu(t2),
-  3j + nu(t3), 4j + nu(c4)) for h in pi^j O, so when nu(f(x0)) + need <= P
-  every member of the class has the valuation and unit class of f(x0).
+  the predicates and is used to validate them.  It searches the chart w = 1
+  over O and the chart u = 1 over pi O, which together cover P^1, after
+  dividing out the content exactly in its own arithmetic.  It refines
+  residue classes x0 + pi^j O of each chart's quartic f and decides a class
+  by one of two certificates: Hensel's lemma (nu(f(x0)) > 2 nu(f'(x0))
+  gives a root), or a Taylor-precision bound: the expansion f(x0 + h) -
+  f(x0) = t1 h + t2 h^2 + t3 h^3 + c4 h^4 has valuation at least
+  P = min(j + nu(t1), 2j + nu(t2), 3j + nu(t3), 4j + nu(c4)) for h in
+  pi^j O, so when nu(f(x0)) + need <= P every member of the class has the
+  valuation and unit class of f(x0).
 
-The predicates read charsums.ResidueField (an enumerated F_{p^2}) only for
-characters at inert places; the oracle tests squares with its own pair
-arithmetic at every place.
+The predicates read quadfield.val_unit and residue_image, and
+charsums.ResidueField (an enumerated F_{p^2}) for characters at inert
+places.  The oracle reads none of them: its adapters compute valuations,
+residue images and squares with their own arithmetic at every place.
 
 Callers must never treat Unknown as either boolean: it means "this route
 cannot decide", and the other route should be consulted.
@@ -302,21 +306,22 @@ class _SplitLocal:
         return (x * y) % self.mod
 
     def quartic(self, c4: int, c2: int, c0: int):
-        """f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor coefficients
-        (t1, t2, t3) = (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x), all mod p^M."""
+        """x -> (f, t1, t2, t3): f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor
+        coefficients (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x), all mod p^M."""
         mod = self.mod
         d4, d2, e4 = 4 * c4, 2 * c2, 6 * c4
 
-        def f(x: int) -> int:
-            x2 = x * x
-            return (c4 * x2 * x2 + c2 * x2 + c0) % mod
-
-        def taylor(x: int) -> tuple[int, int, int]:
+        def f(x: int) -> tuple[int, int, int, int]:
             x2 = x * x
             t3 = d4 * x
-            return (t3 * x2 + d2 * x) % mod, (e4 * x2 + c2) % mod, t3 % mod
+            return (
+                (c4 * x2 * x2 + c2 * x2 + c0) % mod,
+                (t3 * x2 + d2 * x) % mod,
+                (e4 * x2 + c2) % mod,
+                t3 % mod,
+            )
 
-        return f, taylor
+        return f
 
     def nu(self, x: int) -> int:
         if x == 0:
@@ -374,8 +379,8 @@ class _PairLocal:
         )
 
     def quartic(self, c4: Pair, c2: Pair, c0: Pair):
-        """f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor coefficients
-        (t1, t2, t3) = (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x) on pairs mod p^M,
+        """x -> (f, t1, t2, t3): f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor
+        coefficients (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x) on pairs mod p^M,
         from (a + b*w)(x + y*w) = (ax - c*by) + (ay + bx + by)*w as
         w^2 = w - c."""
         mod, c = self.mod, self.c
@@ -384,23 +389,19 @@ class _PairLocal:
         a0, b0 = c0
         d4a, d4b, d2a, d2b, e4a, e4b = 4 * a4, 4 * b4, 2 * a2, 2 * b2, 6 * a4, 6 * b4
 
-        def f(x: Pair) -> Pair:
+        def f(x: Pair) -> tuple[Pair, Pair, Pair, Pair]:
             a, b = x
             s, t = a * a - c * b * b, b * (2 * a + b)  # x^2
+            g, h = s * a - c * t * b, s * b + t * (a + b)  # x^3
             u, v = s * s - c * t * t, t * (2 * s + t)  # x^4
             return (
-                (a4 * u - c * b4 * v + a2 * s - c * b2 * t + a0) % mod,
-                (a4 * v + b4 * (u + v) + a2 * t + b2 * (s + t) + b0) % mod,
-            )
-
-        def taylor(x: Pair) -> tuple[Pair, Pair, Pair]:
-            a, b = x
-            s, t = a * a - c * b * b, b * (2 * a + b)  # x^2
-            u, v = s * a - c * t * b, s * b + t * (a + b)  # x^3
-            return (
                 (
-                    (d4a * u - c * d4b * v + d2a * a - c * d2b * b) % mod,
-                    (d4a * v + d4b * (u + v) + d2a * b + d2b * (a + b)) % mod,
+                    (a4 * u - c * b4 * v + a2 * s - c * b2 * t + a0) % mod,
+                    (a4 * v + b4 * (u + v) + a2 * t + b2 * (s + t) + b0) % mod,
+                ),
+                (
+                    (d4a * g - c * d4b * h + d2a * a - c * d2b * b) % mod,
+                    (d4a * h + d4b * (g + h) + d2a * b + d2b * (a + b)) % mod,
                 ),
                 (
                     (e4a * s - c * e4b * t + a2) % mod,
@@ -409,7 +410,7 @@ class _PairLocal:
                 ((d4a * a - c * d4b * b) % mod, (d4a * b + d4b * (a + b)) % mod),
             )
 
-        return f, taylor
+        return f
 
     def nu(self, x: Pair) -> int:
         k = 0
@@ -478,7 +479,7 @@ class _RamifiedLocal:
     def __init__(self, pl: Place, F: FieldCtx, M: int):
         self.p = pl.p
         self.F = F
-        self.pl = pl
+        self.root = pl.omega_image  # a + b*w maps to a + b*root in F_p
         self.M = M
         self.pi = F.sqrt_disc()
         self.zero = F.of(0)
@@ -496,34 +497,22 @@ class _RamifiedLocal:
         return x * y
 
     def quartic(self, c4: QuadInt, c2: QuadInt, c0: QuadInt):
-        """f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor coefficients
-        (t1, t2, t3) = (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x), exact in O_K."""
+        """x -> (f, t1, t2, t3): f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor
+        coefficients (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x), exact in O_K."""
         d4, d2, e4 = 4 * c4, 2 * c2, 6 * c4
 
-        def f(x: QuadInt) -> QuadInt:
-            x2 = x * x
-            return c4 * (x2 * x2) + c2 * x2 + c0
-
-        def taylor(x: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
+        def f(x: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt, QuadInt]:
             x2 = x * x
             t3 = d4 * x
-            return t3 * x2 + d2 * x, e4 * x2 + c2, t3
+            return c4 * (x2 * x2) + c2 * x2 + c0, t3 * x2 + d2 * x, e4 * x2 + c2, t3
 
-        return f, taylor
-
-    def _vp(self, n: int) -> int:
-        if n == 0:
-            return self.M
-        k = 0
-        while n % self.p == 0:
-            n //= self.p
-            k += 1
-        return k
+        return f
 
     def nu(self, x: QuadInt) -> int:
         if x.is_zero:
             return self.M
-        return min(2 * self._vp(2 * x.a + x.b), 2 * self._vp(x.b) + 1, self.M)
+        p, M = self.p, self.M
+        return min(2 * _vp(2 * x.a + x.b, p, M), 2 * _vp(x.b, p, M) + 1, M)
 
     def shift_down(self, x: QuadInt, k: int) -> QuadInt:
         for _ in range(k):
@@ -531,7 +520,7 @@ class _RamifiedLocal:
         return x
 
     def is_unit_square(self, u: QuadInt) -> bool:
-        return pow(residue_image(u, self.pl), (self.p - 1) // 2, self.p) == 1
+        return pow(u.a + u.b * self.root, (self.p - 1) // 2, self.p) == 1
 
     def children(self, x0: QuadInt, j: int):
         step = self._pi_pows[j]
@@ -541,8 +530,19 @@ class _RamifiedLocal:
         return f"{x0} mod pi^{j}"
 
     def sqrt_hint(self, u: QuadInt) -> str | None:
-        r = arith.sqrt_mod(residue_image(u, self.pl), self.p)
+        r = arith.sqrt_mod((u.a + u.b * self.root) % self.p, self.p)
         return None if r is None else str(r)
+
+
+def _vp(n: int, p: int, top: int) -> int:
+    """The exponent of p in the integer n, or top when n = 0."""
+    if n == 0:
+        return top
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=None)
@@ -559,7 +559,10 @@ def _two_adic_unit_squares(F: FieldCtx) -> frozenset[Pair]:
     )
 
 
+@lru_cache(maxsize=256)
 def _local_adapter(pl: Place, F: FieldCtx, M: int):
+    """The adapter of pl working mod pi^M, built once (the split place lifts
+    omega's root, the ramified place tabulates powers of pi)."""
     if pl.kind is PlaceKind.SPLIT:
         return _SplitLocal(pl, M)
     if pl.kind is PlaceKind.RAMIFIED:
@@ -574,41 +577,43 @@ _CHART_DEAD = "dead"
 _CHART_EXHAUSTED = "exhausted"
 
 
-def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
+def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
     """Breadth-first refinement of residue classes x mod pi^j for
     f(x) = c4 x^4 + c2 x^2 + c0 (content already stripped; shift = removed
-    content, so total valuation = shift + nu(f)), one depth j at a time.
+    content, so total valuation = shift + nu(f)), one depth j at a time,
+    from the root class 0 + pi^start O (start 0 covers all of O).
 
     Certificate: the class x0 + pi^j O, with k = nu(f(x0)), is decided once
     k + need <= P = min(M, j + nu(t1), 2j + nu(t2), 3j + nu(t3), 4j + nu(c4)),
-    where (t1, t2, t3) = taylor(x0) from adapter.quartic.  Proof: for h in
+    where (f(x0), t1, t2, t3) come from adapter.quartic.  Proof: for h in
     pi^j O, f(x0 + h) - f(x0) = t1 h + t2 h^2 + t3 h^3 + c4 h^4 has valuation
     at least P (values are known mod pi^M), so every member of the class has
     valuation k and the unit class of f(x0) mod pi^need.  P >= j, and the
-    case P = j (k + need <= j) is tried first, without Taylor coefficients.
-    A class with k >= j > 2 nu(t1) holds a root by Hensel's lemma, as
-    t1 = f'(x0).
+    case P = j (k + need <= j) is tried first.  A class with
+    k >= j > 2 nu(t1) holds a root by Hensel's lemma, as t1 = f'(x0).  The
+    root class is read from the coefficients: f(0) = c0, (t1, t2, t3) =
+    (0, c2, 0).
 
     Returns (_CHART_SOLVED, witness) / (_CHART_DEAD, None) /
     (_CHART_EXHAUSTED, live_count).
     """
-    f, taylor = adapter.quartic(c4, c2, c0)
-    nu, need, children, M = adapter.nu, adapter.need, adapter.children, adapter.M
+    f = adapter.quartic(c4, c2, c0)
+    nu, need, children, M, zero = adapter.nu, adapter.need, adapter.children, adapter.M, adapter.zero
     n4 = nu(c4)
-    level = [adapter.zero]
-    for j in range(cap + 1):
+    level = [zero]
+    for j in range(start, cap + 1):
         live = []
         for x0 in level:
-            val = f(x0)
+            val, t1, t2, t3 = f(x0) if j > start else (c0, zero, c2, zero)
             k = nu(val)
             if k + need > j:
-                t1, t2, t3 = taylor(x0)
                 kd = nu(t1)
                 if k >= j > 2 * kd:
                     # Hensel: f has an exact root; v = 0 point
                     wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
                     return _CHART_SOLVED, wit
-                if k + need > min(M, j + kd, 2 * j + nu(t2), 3 * j + nu(t3), 4 * j + n4):
+                e = k + need
+                if e > j + kd or e > 2 * j + nu(t2) or e > 3 * j + nu(t3) or e > 4 * j + n4 or e > M:
                     live.append(x0)
                     continue
             # the whole class has valuation exactly k and the unit class of val
@@ -626,15 +631,38 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
         level = [child for x0 in live for child in children(x0, j)]
 
 
+def _strip_content(s: HomSpace, pl: Place, F: FieldCtx, ad):
+    """(b1, a, b2) divided by pi^c, each known mod pi^M (M = ad.M), and their
+    content c.
+
+    The valuations of the images mod pi^M are exact below M.  When all three
+    vanish there, v_pi(x) <= v_p(N(x)) bounds c, and a deeper reading finds
+    it.  The coefficients are then read mod pi^(M + c) before the shift.
+    """
+    M, coeffs = ad.M, (s.b1, s.a, s.b2)
+    images = [ad.coeff(x) for x in coeffs]
+    c = min(map(ad.nu, images))  # a = 0 reads M
+    if c >= M:
+        ad = _local_adapter(pl, F, M + min(_vp(x.norm(), pl.p, 0) for x in (s.b1, s.b2)))
+        c = min(ad.nu(ad.coeff(x)) for x in coeffs)
+    if c:
+        ad = _local_adapter(pl, F, M + c)
+        images = [ad.shift_down(ad.coeff(x), c) for x in coeffs]
+    return images, c
+
+
 def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> Verdict:
     """Decide solvability at pl by enumerating residue classes.
 
-    Searches both dehomogenized charts (w = 1 and u = 1) with increasing
-    pi-adic depth.  A class is certified a square or a non-square once the
-    Taylor bound of _decide_chart pins f's valuation and unit class on all of
-    it, and certified to hold a root by the Hensel criterion.  A space whose
-    coefficients' valuations differ is thus decided within a few depths,
-    not after about q^|v1 - v2| classes.  Independent of the predicate route.
+    Searches the chart w = 1 over O and the chart u = 1 over pi O, which
+    together cover P^1 (a point has u/w in O or w/u in pi O), with increasing
+    pi-adic depth.  The content is divided out in the adapter's own
+    arithmetic, exactly at any size (_strip_content).  A class is certified
+    a square or a non-square once the Taylor bound of _decide_chart pins f's
+    valuation and unit class on all of it, and certified to hold a root by
+    the Hensel criterion.  A space whose coefficients' valuations differ is
+    thus decided within a few depths, not after about q^|v1 - v2| classes.
+    Shares no local helper with the predicate route.
     """
     if max_precision is not None and max_precision < 1:
         raise DomainError(f"search precision must be at least 1, got {max_precision}")
@@ -647,27 +675,15 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
     else:
         caps = [base, max_precision]
 
-    # content of the coefficient triple, from exact valuations
-    vals = [val_unit(s.b1, pl, F)[0], val_unit(s.b2, pl, F)[0]]
-    if not s.a.is_zero:
-        vals.append(val_unit(s.a, pl, F)[0])
-    content = min(vals)
-
     last_live = 0
     for cap in caps:
         M = 2 * cap + 8
         adapter = _local_adapter(pl, F, M)
-        b1 = adapter.coeff(s.b1)
-        b2 = adapter.coeff(s.b2)
-        a = adapter.coeff(s.a)
-        if content:
-            b1 = adapter.shift_down(b1, content)
-            b2 = adapter.shift_down(b2, content)
-            a = adapter.shift_down(a, content) if not s.a.is_zero else a
+        (b1, a, b2), content = _strip_content(s, pl, F, adapter)
         dead = 0
         live = 0
-        for c4, c0, chart in ((b1, b2, "u"), (b2, b1, "w")):
-            status, info = _decide_chart(adapter, c4, a, c0, content, cap)
+        for c4, c0, start, chart in ((b1, b2, 0, "u"), (b2, b1, 1, "w")):
+            status, info = _decide_chart(adapter, c4, a, c0, content, cap, start)
             if status == _CHART_SOLVED:
                 wit = info
                 if chart == "w":

@@ -41,7 +41,7 @@ def commands() -> list[list[str]]:
         out += [["congruent", "check", "--disc", d, "--n", str(n)] for n in CONGRUENT_N]
     out.append(["selrank", "--disc", "-3", "--b", "-1729", "--table", "--show-generators"])
     # deeper sweeps: more inert places for the oracle, more curves per family
-    out += [["verify", "oracle", "--disc", d, "--bmax", "20"] for d in ("-3", "-19")]
+    out += [["verify", "oracle", "--disc", d, "--bmax", "20"] for d in ("-3", "-19", "-11", "-43", "-67", "-163")]
     out.append(["verify", "theorems", "--disc", "-3", "--pmax", "150"])
     return out
 

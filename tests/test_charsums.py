@@ -9,7 +9,7 @@ from iqselmer.charsums import (
     default_field,
     exception_scan,
 )
-from iqselmer.errors import InvalidModulus, ZeroCoefficient
+from iqselmer.errors import DomainError, InvalidModulus, ZeroCoefficient
 from iqselmer.quadfield import legendre_symbol
 
 
@@ -129,3 +129,13 @@ def test_field_arithmetic_consistency():
             continue
         assert F25.mul(x, F25.inv(x)) == F25.one
         assert F25.pow(x, 24) == F25.one
+
+
+def test_residue_field_refuses_an_order_past_1e8():
+    # F_{4019^2} (about 1.6e7 elements) is still built; F_{10007^2} and
+    # F_{101^4} are refused before their square sets are enumerated
+    assert ResidueField(4019, 2).q == 4019**2
+    assert ResidueField(97, 4).q == 97**4
+    for p, k in ((10007, 2), (101, 4), (1000000000039, 2)):
+        with pytest.raises(DomainError):
+            ResidueField(p, k)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,11 +219,21 @@ def test_verify_theorems_small_sweep(capsys):
     assert payload["curves_checked"] == sum(payload["families"].values())
 
 
+def test_selrank_refuses_an_inert_prime_too_large_to_enumerate(capsys):
+    # b = 1000000000039 * 1000000000061, both inert in Q(sqrt(-11)): the
+    # predicate's F_{p^2} would hold about 10^24 elements
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "selrank", "--disc", "-11", "--b", "1000000000100000000002379")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert time.perf_counter() - t0 < 10
+
+
 def test_outputs_match_golden_file(capsys):
     # exit code and stdout of every recorded command, byte for byte; the
     # commands and how to re-record them are in tests/golden/record.py
     rows = json.loads(GOLDEN.read_text())
-    assert len(rows) == 160
+    assert len(rows) == 164
     changed = []
     for row in rows:
         code, out = run_cli(capsys, *row["argv"])

@@ -5,13 +5,14 @@ import copy
 import dataclasses
 import functools
 import random
+import time
 from collections import deque
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from iqselmer import localsolve
+from iqselmer import localsolve, quadfield
 from iqselmer.charsums import ResidueField
 from iqselmer.errors import DomainError, EvenPlace, InternalInconsistency, UnknownVerdict
 from iqselmer.localsolve import (
@@ -272,15 +273,69 @@ def test_oracle_two_adic_insolvable():
 
 
 def test_oracle_scaling_invariance():
-    pl5 = _place(5, F3)
-    pl2 = _place(2, F3)
-    for b1, b2 in ((5, 7), (10, -15), (3, 5 * 5 * 2)):
-        base_odd = oracle_search(HomSpace.make(b1, b2, F3), pl5).tag
-        scaled = oracle_search(HomSpace.make(b1 * 5**4, b2 * 5**4, F3), pl5).tag
-        assert base_odd == scaled
-        base_two = oracle_search(HomSpace.make(b1, b2, F3), pl2).tag
-        scaled2 = oracle_search(HomSpace.make(16 * b1, 16 * b2, F3), pl2).tag
-        assert base_two == scaled2
+    # (pi^e b1, pi^e b2) has the verdict of (b1, b2) for even e and of
+    # (pi b1, pi b2) for odd e; e runs past M = 4 * base + 8 of the second
+    # pass, so the content is read past both passes' working precision, at
+    # the 2-adic, ramified, inert and split places of Q(sqrt(-3))
+    for p, top in ((2, 36), (3, 56), (5, 32), (7, 32)):
+        pl = _place(p, F3)
+        for b1, b2 in ((5, 7), (10, -15), (3, 5 * 5 * 2), (1, -3)):
+            tags = [
+                oracle_search(HomSpace.make(pl.pi**e * b1, pl.pi**e * b2, F3), pl).tag
+                for e in range(top + 3)
+            ]
+            assert VerdictTag.Unknown not in tags, (p, b1, b2)
+            assert tags == [tags[e % 2] for e in range(top + 3)], (p, b1, b2, tags)
+
+
+def test_oracle_reads_a_large_content_exactly():
+    # (2^21, 3*2^21) is (2, 6) times the fourth power 2^20 at the 2-adic
+    # place of Q(sqrt(-3)); divided out of images mod 2^22, the content left
+    # (1, 1) instead of (1, 3), and the search found a point
+    pl = _place(2, F3)
+    for b1, b2 in ((2, 6), (2**21, 3 * 2**21)):
+        s = HomSpace.make(b1, b2, F3)
+        assert oracle_search(s, pl).tag is VerdictTag.Insolvable
+        assert predicate_two_adic(s, F3).tag is VerdictTag.Insolvable
+
+
+def test_oracle_decides_a_content_past_the_working_precision():
+    # contents 20 and 21 at the inert 5 of Q(sqrt(-3)), past the first pass's
+    # M = 20: the content is bounded by the norm and read exactly, not
+    # searched class by class
+    pl = _place(5, F3)
+    for b1, b2 in ((5**20, 5**22), (5**21, 3 * 5**23)):
+        s = HomSpace.make(b1, b2, F3)
+        t0 = time.perf_counter()
+        orc = oracle_search(s, pl)
+        assert time.perf_counter() - t0 < 1, (b1, b2)
+        assert orc.tag is predicate_odd_place(s, pl).tag, (b1, b2, orc.reason)
+
+
+def test_oracle_reads_no_predicate_helper(monkeypatch):
+    # the oracle shares no local helper with the predicates: with val_unit
+    # and residue_image refusing, it still agrees with the predicates at all
+    # four kinds of place, for contents 0, 1 and 25 (past the first pass's M
+    # except at the ramified place, where M = 32)
+    spaces = [
+        (HomSpace.make(pl.pi**e * b1, pl.pi**e * b2, F3), pl)
+        for pl in (_place(p, F3) for p in (2, 3, 5, 7))
+        for b1, b2 in ((1, 3), (5, -7), (2, 6), (3, 50))
+        for e in (0, 1, 25)
+    ]
+    assert {pl.kind for _, pl in spaces} == set(PlaceKind)
+    want = [predicate_two_adic(s, F3) if pl.p == 2 else predicate_odd_place(s, pl) for s, pl in spaces]
+
+    def refuse(*args):
+        raise AssertionError("the oracle read a predicate helper")
+
+    for module in (localsolve, quadfield):
+        monkeypatch.setattr(module, "val_unit", refuse)
+        monkeypatch.setattr(module, "residue_image", refuse)
+    for (s, pl), pred in zip(spaces, want):
+        assert oracle_search(s, pl).tag is pred.tag, (str(s.b1), str(s.b2), str(pl))
+    # the adapters are cached per (place, precision), in a bounded cache
+    assert isinstance(localsolve._local_adapter.cache_parameters()["maxsize"], int)
 
 
 def test_oracle_honest_unknown_on_degenerate_quartic():
@@ -542,7 +597,8 @@ class _RefTwoAdic(_RefPair, _TwoAdicLocal):
 
 class _RefRamified(_RamifiedLocal):
     def is_unit_square(self, u: QuadInt) -> bool:
-        return legendre_symbol(residue_image(u, self.pl), self.p) == 1
+        (pl,) = places_above(self.p, self.F)
+        return legendre_symbol(residue_image(u, pl), self.p) == 1
 
 
 # The adapters' methods as the replaced kernel used them: the valuation loop
@@ -588,7 +644,7 @@ def _ring_quartic(ad, c4, c2, c0):
 
 
 def test_quartic_matches_ring_arithmetic():
-    # each adapter's quartic closures against its own add/mul, at 2, an
+    # each adapter's quartic closure against its own add/mul, at 2, an
     # inert, a split and the ramified place of two fields, and the Taylor
     # identity f(x + h) = f(x) + t1 h + t2 h^2 + t3 h^3 + c4 h^4
     rng = random.Random(9)
@@ -602,14 +658,13 @@ def test_quartic_matches_ring_arithmetic():
                         ad.coeff(ql(rng.randint(-999, 999), rng.randint(-999, 999), F))
                         for _ in range(5)
                     )
-                    f, taylor = ad.quartic(c4, c2, c0)
+                    val, t1, t2, t3 = ad.quartic(c4, c2, c0)(x)
                     ring_f, ring_taylor = _ring_quartic(ad, c4, c2, c0)
-                    assert f(x) == ring_f(x), (p, str(pl))
-                    t1, t2, t3 = taylor(x)
+                    assert val == ring_f(x), (p, str(pl))
                     assert (t1, t2, t3) == ring_taylor(x), (p, str(pl))
                     h2 = mul(h, h)
                     moved = add(add(mul(t1, h), mul(t2, h2)), add(mul(t3, mul(h2, h)), mul(c4, mul(h2, h2))))
-                    assert ring_f(add(x, h)) == add(f(x), moved), (p, str(pl))
+                    assert ring_f(add(x, h)) == add(val, moved), (p, str(pl))
 
 
 def _assert_certified(ref, c4, c2, c0, shift, x0):
@@ -628,30 +683,78 @@ def _assert_certified(ref, c4, c2, c0, shift, x0):
 
 class _ChartLog(list):
     """(adapter kind, status) per chart; .reference has the reference
-    kernel's status of each chart."""
+    kernel's status of each chart.  .decide is _reference_decide_chart run
+    once per chart: the fixture and _reference_oracle ask for the same chart
+    over O whenever their coefficients agree."""
 
     def __init__(self):
         super().__init__()
         self.reference = []
+        self._runs = {}
+
+    def decide(self, ref, c4, c2, c0, shift, cap):
+        # the adapter's kind, place and precision, then the chart
+        key = (type(ref), ref.p, ref.M, getattr(ref, "root", None), getattr(ref, "c", None),
+               c4, c2, c0, shift, cap)
+        if key not in self._runs:
+            self._runs[key] = _reference_decide_chart(ref, c4, c2, c0, shift, cap)
+        return self._runs[key]
+
+
+def _reference_oracle(s, pl, decide):
+    """The search that the chart cover replaced, at the default depths: both
+    charts over all of O through decide (_reference_decide_chart), with the
+    content from val_unit.  The coefficients are read mod pi^(M + content)
+    before the shift, so each is known mod pi^M."""
+    F = localsolve._field_for_cw(pl.pi.cw)
+    content = min(val_unit(x, pl, F)[0] for x in (s.b1, s.a, s.b2) if not x.is_zero)
+    base = 7 if pl.kind is PlaceKind.TWO_ADIC else (12 if pl.kind is PlaceKind.RAMIFIED else 6)
+    for cap in (base, 2 * base):
+        M = 2 * cap + 8
+        ref = _as_reference(_local_adapter(pl, F, M))
+        wide = _local_adapter(pl, F, M + content)
+        b1, a, b2 = (wide.shift_down(wide.coeff(x), content) for x in (s.b1, s.a, s.b2))
+        dead = 0
+        for c4, c0 in ((b1, b2), (b2, b1)):
+            status = decide(ref, c4, a, c0, content, cap)[0]
+            if status == _CHART_SOLVED:
+                return VerdictTag.Solvable
+            dead += status == _CHART_DEAD
+        if dead == 2:
+            return VerdictTag.Insolvable
+    return VerdictTag.Unknown
+
+
+def _uniformiser(ad):
+    # the element whose powers the adapter's classes step by (p, or sqrt(D)
+    # at the ramified place); coeff reads only the coordinates of the QuadInt
+    return ad.pi if isinstance(ad, _RamifiedLocal) else ad.coeff(QuadInt(ad.p, 0, 1))
 
 
 @pytest.fixture
 def chart_log(monkeypatch):
     """Run every chart oracle_search decides through both kernels and log
-    (adapter kind, status).  Where the reference decides, the status is the
+    (adapter kind, status).  A chart over pi O (start depth 1) goes to the
+    reference as the chart over O of f(pi y), one depth shallower, so both
+    visit the same classes.  Where the reference decides, the status is the
     same; where it runs out of depth, the kernel decides or ends with no
     more live classes.  Every solved witness is re-checked exactly at the
     class representative it names."""
     fast = localsolve._decide_chart
     log = _ChartLog()
 
-    def both(adapter, c4, c2, c0, shift, cap):
+    def both(adapter, c4, c2, c0, shift, cap, start):
         named = []
         recorder = copy.copy(adapter)
         recorder.describe = lambda x0, j: named.append(x0) or adapter.describe(x0, j)
-        got = fast(recorder, c4, c2, c0, shift, cap)
+        got = fast(recorder, c4, c2, c0, shift, cap, start)
         ref = _as_reference(adapter)
-        want = _reference_decide_chart(ref, c4, c2, c0, shift, cap)
+        r4, r2, rcap = c4, c2, cap
+        if start:
+            pi = _uniformiser(ref)
+            pi2 = ref.mul(pi, pi)
+            r4, r2, rcap = ref.mul(c4, ref.mul(pi2, pi2)), ref.mul(c2, pi2), cap - 1
+        want = log.decide(ref, r4, r2, c0, shift, rcap)
         where = (type(adapter).__name__, str(adapter.p), cap, got, want)
         if want[0] == _CHART_EXHAUSTED:
             assert got[0] != _CHART_EXHAUSTED or got[1] <= want[1], where
@@ -669,7 +772,8 @@ def chart_log(monkeypatch):
 
 def test_oracle_kernel_matches_reference_on_candidate_spaces(chart_log):
     # every candidate space of squarefree |b| <= 30, at every bad place of
-    # its curve, on all six fields
+    # its curve, on all six fields; the verdict is that of the reference
+    # oracle with two full charts
     for D in SUPPORTED_DISCS:
         F = make_field(D)
         for n in range(1, 31):
@@ -681,7 +785,9 @@ def test_oracle_kernel_matches_reference_on_candidate_spaces(chart_log):
                 for side in (Side.PHI, Side.PHIHAT):
                     for c in selmer_candidates(spec, side):
                         for pl in places:
-                            oracle_search(c, pl)
+                            got = oracle_search(c, pl).tag
+                            want = _reference_oracle(c, pl, chart_log.decide)
+                            assert got is want, (D, b, str(c.b1), str(pl))
     kinds = {kind for kind, _ in chart_log}
     assert kinds == {"_SplitLocal", "_PairLocal", "_TwoAdicLocal", "_RamifiedLocal"}
     assert {status for _, status in chart_log} == {_CHART_SOLVED, _CHART_DEAD}
@@ -691,7 +797,8 @@ def test_oracle_kernel_matches_reference_on_candidate_spaces(chart_log):
 def test_oracle_kernel_matches_reference_with_middle_term(chart_log):
     # a != 0 at every place over p <= 13, the ramified places included, with
     # a depth cap low enough that the reference ends some charts exhausted;
-    # the kernel decides every one of them
+    # the kernel decides every one of them, with the verdict of the
+    # reference oracle at the default depths
     for D in (-3, -11):
         F = make_field(D)
         for p in (2, 3, 5, 7, 11, 13):
@@ -699,7 +806,9 @@ def test_oracle_kernel_matches_reference_with_middle_term(chart_log):
                 for b1 in (-3, 1, 2, 5):
                     for b2 in (-2, 1, 3, 7):
                         for a in (1, 2, 3, 6, p):
-                            oracle_search(HomSpace.make(b1, b2, F, a=a), pl, max_precision=3)
+                            s = HomSpace.make(b1, b2, F, a=a)
+                            got = oracle_search(s, pl, max_precision=3).tag
+                            assert got is _reference_oracle(s, pl, chart_log.decide), (D, str(pl), b1, b2, a)
     kinds = {kind for kind, _ in chart_log}
     assert kinds == {"_SplitLocal", "_PairLocal", "_TwoAdicLocal", "_RamifiedLocal"}
     assert set(chart_log.reference) == {_CHART_SOLVED, _CHART_DEAD, _CHART_EXHAUSTED}
@@ -708,15 +817,16 @@ def test_oracle_kernel_matches_reference_with_middle_term(chart_log):
 
 def test_oracle_kernel_matches_reference_when_precision_runs_out(chart_log):
     # c*(x^2-1)^2 with c a nonsquare unit only certifies at its exact double
-    # roots, so both charts end exhausted and their live counts are compared:
-    # c = 3 at 2 and at the split 7, c = 1+w at the inert 5
+    # roots +-1, so the chart over O ends exhausted and its live counts are
+    # compared; on the chart over pi O, c*(x^2-1)^2 is c times a unit square
+    # and dies: c = 3 at 2 and at the split 7, c = 1+w at the inert 5
     c = ql(1, 1, F3)
     assert _chi_unit(c, _place(5, F3)) == -1
     for s, p in ((HomSpace.make(3, 3, F3, a=-6), 2), (HomSpace.make(3, 3, F3, a=-6), 7),
                  (HomSpace.make(c, c, F3, a=-2 * c), 5)):
         v = oracle_search(s, _place(p, F3), max_precision=4)
         assert v.tag is VerdictTag.Unknown, p
-    assert [status for _, status in chart_log] == [_CHART_EXHAUSTED] * 6
+    assert [status for _, status in chart_log] == [_CHART_EXHAUSTED, _CHART_DEAD] * 3
     assert [kind for kind, _ in chart_log[::2]] == ["_TwoAdicLocal", "_SplitLocal", "_PairLocal"]
 
 
@@ -784,13 +894,13 @@ def test_oracle_decides_a_valuation_gap_in_one_depth(monkeypatch, D, p, pi):
     count = [0]
 
     def counted(self, c4, c2, c0, _quartic=_SplitLocal.quartic):
-        f, taylor = _quartic(self, c4, c2, c0)
+        f = _quartic(self, c4, c2, c0)
 
         def f_counted(x):
             count[0] += 1
             return f(x)
 
-        return f_counted, taylor
+        return f_counted
 
     monkeypatch.setattr(_SplitLocal, "quartic", counted)
     for b1, b2 in ((u, pl.pi**3), (pl.pi**3, u), (u, u * pl.pi**3), (u * u, pl.pi**3)):
