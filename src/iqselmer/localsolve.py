@@ -17,8 +17,10 @@ over the completion K_v:
   gives a root), or a Taylor-precision bound: the expansion f(x0 + h) -
   f(x0) = t1 h + t2 h^2 + t3 h^3 + c4 h^4 has valuation at least
   P = min(j + nu(t1), 2j + nu(t2), 3j + nu(t3), 4j + nu(c4)) for h in
-  pi^j O, so when nu(f(x0)) + need <= P every member of the class has the
-  valuation and unit class of f(x0).
+  pi^j O, so when nu(f(x0)) + e <= P every member of the class has the
+  valuation of f(x0) and its unit mod pi^e.  The certificate asks only for
+  the e its verdict needs: e = 1 for an odd total valuation, at 2 e = 2 for
+  a unit that is no square mod 4, and e = need (3 at 2, else 1) otherwise.
 
 The predicates read quadfield.val_unit and residue_image, and
 charsums.ResidueField (an enumerated F_{p^2}) for characters at inert
@@ -34,6 +36,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd
 
 from . import arith
@@ -341,7 +344,7 @@ class _SplitLocal:
     def children(self, x0: int, j: int):
         # x0 < p^j, so every child stays below p^(j+1) <= p^M
         step = self.p**j
-        return [x0 + t * step for t in range(self.p)]
+        return range(x0, x0 + self.p * step, step)
 
     def describe(self, x0: int, j: int) -> str:
         return f"{x0 % self.p ** j} mod {self.p}^{j}"
@@ -442,9 +445,9 @@ class _PairLocal:
     def children(self, x0: Pair, j: int):
         # both coordinates of x0 are below p^j, so those of every child stay
         # below p^(j+1) <= p^M
-        step = self.p**j
+        steps = range(0, self.p ** (j + 1), self.p**j)
         a, b = x0
-        return [(a + s * step, b + t * step) for s in range(self.p) for t in range(self.p)]
+        return ((a + s, b + t) for s in steps for t in steps)
 
     def describe(self, x0: Pair, j: int) -> str:
         q = self.p**j
@@ -457,17 +460,35 @@ class _PairLocal:
 class _TwoAdicLocal(_PairLocal):
     """The inert 2-adic place: residue pairs mod 2^M.  Units mod 8 decide
     squares, so a value is certified only when known three binary digits
-    past its valuation (need = 3)."""
+    past its valuation (need = 3); a unit that is no square mod 4 is none
+    mod 8, so two digits decide it (square_mod4)."""
 
     need = 3
+
+    def __init__(self, pl: Place, F: FieldCtx, M: int):
+        super().__init__(pl, F, M)
+        self.squares = _two_adic_unit_squares(F)
+        self.squares4 = frozenset((a & 3, b & 3) for a, b in self.squares)
 
     def nu(self, x: Pair) -> int:
         # the 2-adic valuation of a + b*w is the lowest set bit of a | b
         m = x[0] | x[1]
         return (m & -m).bit_length() - 1 if m else self.M
 
+    def shift_down(self, x: Pair, k: int) -> Pair:
+        return (x[0] >> k, x[1] >> k)
+
     def is_unit_square(self, u: Pair) -> bool:
-        return (u[0] % 8, u[1] % 8) in _two_adic_unit_squares(self.F)
+        return (u[0] & 7, u[1] & 7) in self.squares
+
+    def square_mod4(self, x: Pair, k: int) -> bool:
+        """Whether the unit x / 2^k is a square mod 4."""
+        return (x[0] >> k & 3, x[1] >> k & 3) in self.squares4
+
+    def children(self, x0: Pair, j: int):
+        a, b = x0
+        step = 1 << j
+        return ((a, b), (a, b + step), (a + step, b), (a + step, b + step))
 
 
 class _RamifiedLocal:
@@ -572,6 +593,15 @@ def _local_adapter(pl: Place, F: FieldCtx, M: int):
     return _PairLocal(pl, F, M)
 
 
+@lru_cache(maxsize=256)
+def _oracle_place(pl: Place):
+    """(F, base depth, adapter of the first pass) of pl: the search runs to
+    depth base, then 2 * base, each pass working mod pi^(2 * depth + 8)."""
+    F = _field_for_cw(pl.pi.cw)
+    base = 7 if pl.kind is PlaceKind.TWO_ADIC else (12 if pl.kind is PlaceKind.RAMIFIED else 6)
+    return F, base, _local_adapter(pl, F, 2 * base + 8)
+
+
 _CHART_SOLVED = "solved"
 _CHART_DEAD = "dead"
 _CHART_EXHAUSTED = "exhausted"
@@ -584,35 +614,43 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
     from the root class 0 + pi^start O (start 0 covers all of O).
 
     Certificate: the class x0 + pi^j O, with k = nu(f(x0)), is decided once
-    k + need <= P = min(M, j + nu(t1), 2j + nu(t2), 3j + nu(t3), 4j + nu(c4)),
+    k + e <= P = min(M, j + nu(t1), 2j + nu(t2), 3j + nu(t3), 4j + nu(c4)),
     where (f(x0), t1, t2, t3) come from adapter.quartic.  Proof: for h in
     pi^j O, f(x0 + h) - f(x0) = t1 h + t2 h^2 + t3 h^3 + c4 h^4 has valuation
     at least P (values are known mod pi^M), so every member of the class has
-    valuation k and the unit class of f(x0) mod pi^need.  P >= j, and the
-    case P = j (k + need <= j) is tried first.  A class with
-    k >= j > 2 nu(t1) holds a root by Hensel's lemma, as t1 = f'(x0).  The
+    valuation k and the unit class of f(x0) mod pi^e.  The precision e is
+    graded by what the verdict needs: e = 1 when shift + k is odd (every
+    member has odd total valuation, so none is a square or zero); at 2,
+    e = 2 when the unit f(x0) / 2^k is no square mod 4 (a unit square mod 8
+    is one mod 4); otherwise e = need.  P >= j, and the case P = j
+    (k + e <= j) is tried first.  A class with k >= j > 2 nu(t1) gives a
+    root by Hensel's lemma, as t1 = f'(x0), within pi^(k - nu(t1)) of x0;
+    it cannot also be decided at P = j, and is tested first otherwise.  The
     root class is read from the coefficients: f(0) = c0, (t1, t2, t3) =
     (0, c2, 0).
 
     Returns (_CHART_SOLVED, witness) / (_CHART_DEAD, None) /
     (_CHART_EXHAUSTED, live_count).
     """
-    f = adapter.quartic(c4, c2, c0)
-    nu, need, children, M, zero = adapter.nu, adapter.need, adapter.children, adapter.M, adapter.zero
+    nu, need, M, zero = adapter.nu, adapter.need, adapter.M, adapter.zero
     n4 = nu(c4)
+    root = (c0, zero, c2, zero)
+    f = lambda x0: root  # the quartic is built only if the root class is refined
     level = [zero]
     for j in range(start, cap + 1):
         live = []
         for x0 in level:
-            val, t1, t2, t3 = f(x0) if j > start else (c0, zero, c2, zero)
+            val, t1, t2, t3 = f(x0)
             k = nu(val)
-            if k + need > j:
+            e = k + 1 if (shift + k) & 1 else k + need
+            if e > j and e > k + 2 and not adapter.square_mod4(val, k):  # even, at 2
+                e = k + 2
+            if e > j:
                 kd = nu(t1)
                 if k >= j > 2 * kd:
                     # Hensel: f has an exact root; v = 0 point
                     wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
                     return _CHART_SOLVED, wit
-                e = k + need
                 if e > j + kd or e > 2 * j + nu(t2) or e > 3 * j + nu(t3) or e > 4 * j + n4 or e > M:
                     live.append(x0)
                     continue
@@ -628,7 +666,10 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
             return _CHART_DEAD, None
         if j == cap:
             return _CHART_EXHAUSTED, len(live)
-        level = [child for x0 in live for child in children(x0, j)]
+        if j == start:
+            f = adapter.quartic(c4, c2, c0)
+        # the children of depth j + 1, made as they are read
+        level = chain.from_iterable(map(adapter.children, live, repeat(j)))
 
 
 def _strip_content(s: HomSpace, pl: Place, F: FieldCtx, ad):
@@ -664,21 +705,17 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
     thus decided within a few depths, not after about q^|v1 - v2| classes.
     Shares no local helper with the predicate route.
     """
-    if max_precision is not None and max_precision < 1:
-        raise DomainError(f"search precision must be at least 1, got {max_precision}")
-    F = _field_for_cw(pl.pi.cw)
-    base = 7 if pl.kind is PlaceKind.TWO_ADIC else (12 if pl.kind is PlaceKind.RAMIFIED else 6)
+    F, base, first = _oracle_place(pl)
     if max_precision is None:
-        caps = [base, 2 * base]
-    elif max_precision <= base:
-        caps = [max_precision]
+        caps = (base, 2 * base)
+    elif max_precision < 1:
+        raise DomainError(f"search precision must be at least 1, got {max_precision}")
     else:
-        caps = [base, max_precision]
+        caps = (max_precision,) if max_precision <= base else (base, max_precision)
 
     last_live = 0
     for cap in caps:
-        M = 2 * cap + 8
-        adapter = _local_adapter(pl, F, M)
+        adapter = first if cap == base else _local_adapter(pl, F, 2 * cap + 8)
         (b1, a, b2), content = _strip_content(s, pl, F, adapter)
         dead = 0
         live = 0

@@ -177,11 +177,12 @@ def test_verify_oracle_rejects_nonpositive_precision(capsys, precision):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
-@pytest.mark.parametrize("precision,undecided", [("1", 139), ("3", 8), ("4", 0), ("5", 0)])
+@pytest.mark.parametrize("precision,undecided", [("1", 24), ("2", 8), ("3", 8), ("4", 0), ("5", 0)])
 def test_verify_oracle_precision_leaves_few_classes_undecided(capsys, precision, undecided):
-    # a residue class is decided once the Taylor bound pins f on it, so a
-    # depth cap leaves fewer searches undecided (336, 163, 106 and 12 when a
-    # class was decided only by the depth itself); no verdict disagrees
+    # a residue class is decided once the Taylor bound pins f on it as far
+    # as the verdict needs: its valuation alone when the total valuation is
+    # odd, and at 2 two digits of a unit that is no square mod 4; every
+    # search left undecided is 2-adic, and no verdict disagrees
     code, out = run_cli(
         capsys, "verify", "oracle", "--disc", "-3", "--bmax", "12", "--precision", precision
     )
@@ -191,6 +192,31 @@ def test_verify_oracle_precision_leaves_few_classes_undecided(capsys, precision,
     assert len(payload["undecided"]) == undecided
     assert payload["disagreements"] == []
     assert payload["pass"] is (undecided == 0)
+
+
+def test_verify_oracle_two_adic_work(capsys, monkeypatch):
+    # the 2-adic searches of verify oracle --bmax 15 on all six fields (one
+    # benchmark round) evaluate f 14607 times: a guard on the work that the
+    # graded certificate saves, as no verdict shows it
+    from iqselmer import localsolve
+
+    count = [0]
+    quartic = localsolve._TwoAdicLocal.quartic
+
+    def counted(self, c4, c2, c0):
+        f = quartic(self, c4, c2, c0)
+
+        def f_counted(x):
+            count[0] += 1
+            return f(x)
+
+        return f_counted
+
+    monkeypatch.setattr(localsolve._TwoAdicLocal, "quartic", counted)
+    for disc in ("-3", "-11", "-19", "-43", "-67", "-163"):
+        code, out = run_cli(capsys, "verify", "oracle", "--disc", disc, "--bmax", "15")
+        assert code == 0 and json.loads(out)["pass"] is True, disc
+    assert 0 < count[0] <= 15000, count[0]
 
 
 def test_verify_trace_lemma(capsys):

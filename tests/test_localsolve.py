@@ -191,6 +191,34 @@ def test_oracle_two_adic_squares_match_the_embedding():
         assert len(embedded) == 6
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_squares(c: int, n: int) -> frozenset:
+    # the squares of the unit omega-pairs mod n = 4 or 8, as w^2 = w - c
+    return frozenset(
+        ((a * a - c * b * b) % n, b * (2 * a + b) % n) for a in range(n) for b in range(n) if a % 2 or b % 2
+    )
+
+
+def test_oracle_two_adic_squares_mod4_are_the_squares_mod8_reduced():
+    # the kernel kills a class whose unit is no square mod 4 two binary digits
+    # past its valuation: by brute force over the unit pairs mod 4 and mod 8,
+    # the adapter's table mod 4 is the set of unit squares mod 4, a unit pair
+    # mod 8 outside it is no square mod 8, and square_mod4 reads the unit of
+    # 2^k u for every unit pair u mod 8
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        ad = _local_adapter(places_above(2, F)[0], F, 22)
+        squares4, squares8 = _unit_squares(F.omega_norm, 4), _unit_squares(F.omega_norm, 8)
+        assert ad.squares4 == squares4 and len(squares4) == 3, D
+        assert ad.squares == squares8, D
+        for u in ((a, b) for a in range(8) for b in range(8) if a % 2 or b % 2):
+            if (u[0] % 4, u[1] % 4) not in squares4:
+                assert u not in squares8 and not ad.is_unit_square(u), (D, u)
+            for k in range(4):
+                x = (u[0] << k, u[1] << k)
+                assert ad.square_mod4(x, k) == ((u[0] % 4, u[1] % 4) in squares4), (D, u, k)
+
+
 def test_fourth_powers_mod32_are_read_mod_8():
     assert _FOURTH_POWERS_MOD32 == {zpow((a, b), 4, 32) for a in range(32) for b in range(32)}
     assert len(_FOURTH_POWERS_MOD32) == 28
@@ -334,8 +362,10 @@ def test_oracle_reads_no_predicate_helper(monkeypatch):
         monkeypatch.setattr(module, "residue_image", refuse)
     for (s, pl), pred in zip(spaces, want):
         assert oracle_search(s, pl).tag is pred.tag, (str(s.b1), str(s.b2), str(pl))
-    # the adapters are cached per (place, precision), in a bounded cache
+    # the adapters are cached per (place, precision), and each place's
+    # context (field, base depth, first adapter) per place, in bounded caches
     assert isinstance(localsolve._local_adapter.cache_parameters()["maxsize"], int)
+    assert isinstance(localsolve._oracle_place.cache_parameters()["maxsize"], int)
 
 
 def test_oracle_honest_unknown_on_degenerate_quartic():
@@ -507,10 +537,11 @@ def test_two_adic_sufficient_conditions_vs_oracle():
 # the oracle kernel against the generic kernel it replaced
 
 
-def _reference_decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
+def _reference_decide_chart(adapter, c4, c2, c0, shift: int, cap: int, root=None):
     """Breadth-first refinement of residue classes x mod pi^j for
     f(x) = c4 x^4 + c2 x^2 + c0 (content already stripped; shift = removed
-    content, so total valuation = shift + nu(f)).
+    content, so total valuation = shift + nu(f)), from the class
+    root = (x0, j) (all of O by default).
 
     Returns (_CHART_SOLVED, witness) / (_CHART_DEAD, None) /
     (_CHART_EXHAUSTED, live_count).
@@ -529,7 +560,7 @@ def _reference_decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
         two = add(c2, c2)
         return add(mul(four, x3), mul(two, x))
 
-    queue = deque([(adapter.zero, 0)])
+    queue = deque([root or (adapter.zero, 0)])
     exhausted = 0
     while queue:
         x0, j = queue.popleft()
@@ -561,6 +592,41 @@ def _reference_decide_chart(adapter, c4, c2, c0, shift: int, cap: int):
     if exhausted:
         return _CHART_EXHAUSTED, exhausted
     return _CHART_DEAD, None
+
+
+def _ungraded_decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
+    """The Taylor-certified kernel before its certificate was graded: every
+    class waits for nu(f(x0)) + need <= P, whatever its parity or its unit
+    mod 4, and the children of a depth are listed before they are read."""
+    f = adapter.quartic(c4, c2, c0)
+    nu, need, children, M, zero = adapter.nu, adapter.need, adapter.children, adapter.M, adapter.zero
+    n4 = nu(c4)
+    level = [zero]
+    for j in range(start, cap + 1):
+        live = []
+        for x0 in level:
+            val, t1, t2, t3 = f(x0) if j > start else (c0, zero, c2, zero)
+            k = nu(val)
+            if k + need > j:
+                kd = nu(t1)
+                if k >= j > 2 * kd:
+                    wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
+                    return _CHART_SOLVED, wit
+                e = k + need
+                if e > j + kd or e > 2 * j + nu(t2) or e > 3 * j + nu(t3) or e > 4 * j + n4 or e > M:
+                    live.append(x0)
+                    continue
+            if (shift + k) % 2 == 0:
+                unit = adapter.shift_down(val, k)
+                if adapter.is_unit_square(unit):
+                    hint = adapter.sqrt_hint(unit) if k == 0 else None
+                    wit = SolveWitness(u=adapter.describe(x0, j), w="1", v=hint, precision=j)
+                    return _CHART_SOLVED, wit
+        if not live:
+            return _CHART_DEAD, None
+        if j == cap:
+            return _CHART_EXHAUSTED, len(live)
+        level = [child for x0 in live for child in children(x0, j)]
 
 
 class _RefSplit(_SplitLocal):
@@ -690,6 +756,7 @@ class _ChartLog(list):
     def __init__(self):
         super().__init__()
         self.reference = []
+        self.evaluated = None
         self._runs = {}
 
     def decide(self, ref, c4, c2, c0, shift, cap):
@@ -733,21 +800,42 @@ def _uniformiser(ad):
 
 @pytest.fixture
 def chart_log(monkeypatch):
-    """Run every chart oracle_search decides through both kernels and log
+    """Run every chart oracle_search decides through three kernels and log
     (adapter kind, status).  A chart over pi O (start depth 1) goes to the
     reference as the chart over O of f(pi y), one depth shallower, so both
     visit the same classes.  Where the reference decides, the status is the
     same; where it runs out of depth, the kernel decides or ends with no
-    more live classes.  Every solved witness is re-checked exactly at the
-    class representative it names."""
+    more live classes.  Where the ungraded kernel decides, the status and
+    the witness are the same; where it runs out of depth, the kernel ends
+    dead or with no more live classes.  Every solved witness is re-checked
+    exactly at the class representative it names.  With log.evaluated set
+    to a list, each chart's classes are kept as (x0, j, (f, t1, t2, t3))."""
     fast = localsolve._decide_chart
     log = _ChartLog()
 
     def both(adapter, c4, c2, c0, shift, cap, start):
         named = []
+        zero = adapter.zero
+        classes = [(zero, start, (c0, zero, c2, zero))]
+        depth = [start]
+
+        def children(x0, j):
+            depth[0] = j + 1
+            return adapter.children(x0, j)
+
+        def quartic(*coeffs):
+            f = adapter.quartic(*coeffs)
+            return lambda x: classes.append((x, depth[0], f(x))) or classes[-1][2]
+
         recorder = copy.copy(adapter)
         recorder.describe = lambda x0, j: named.append(x0) or adapter.describe(x0, j)
+        recorder.children, recorder.quartic = children, quartic
         got = fast(recorder, c4, c2, c0, shift, cap, start)
+        ungraded = _ungraded_decide_chart(adapter, c4, c2, c0, shift, cap, start)
+        if ungraded[0] == _CHART_EXHAUSTED:
+            assert got[0] == _CHART_DEAD or (got[0] == _CHART_EXHAUSTED and got[1] <= ungraded[1]), (got, ungraded)
+        else:
+            assert got == ungraded, (type(adapter).__name__, str(adapter.p), cap, got, ungraded)
         ref = _as_reference(adapter)
         r4, r2, rcap = c4, c2, cap
         if start:
@@ -764,6 +852,8 @@ def chart_log(monkeypatch):
             _assert_certified(ref, c4, c2, c0, shift, named[-1])
         log.append((type(adapter).__name__, got[0]))
         log.reference.append(want[0])
+        if log.evaluated is not None:
+            log.evaluated.append((ref, c4, c2, c0, shift, cap, classes))
         return got
 
     monkeypatch.setattr(localsolve, "_decide_chart", both)
@@ -792,6 +882,71 @@ def test_oracle_kernel_matches_reference_on_candidate_spaces(chart_log):
     assert kinds == {"_SplitLocal", "_PairLocal", "_TwoAdicLocal", "_RamifiedLocal"}
     assert {status for _, status in chart_log} == {_CHART_SOLVED, _CHART_DEAD}
     assert len(chart_log) > 20000
+
+
+def _killed_by_grading(ref, c4, shift, x0, j, values):
+    """Whether the graded certificate kills the class x0 + pi^j O where the
+    ungraded one leaves it live: k + e <= P < k + need, with e = 1 for an
+    odd total valuation and, at 2, e = 2 for a unit that is no square mod 4
+    (the unit squares mod 4 by brute force), and no Hensel root first."""
+    nu = ref.nu
+    val, t1, t2, t3 = values
+    k = nu(val)
+    P = min(ref.M, j + nu(t1), 2 * j + nu(t2), 3 * j + nu(t3), 4 * j + nu(c4))
+    if (shift + k) % 2:
+        e = 1
+    elif ref.need == 3 and (val[0] >> k & 3, val[1] >> k & 3) not in _unit_squares(ref.c, 4):
+        e = 2
+    else:
+        return False
+    hensel = k + e > j and k >= j > 2 * nu(t1)
+    return k + e <= P < k + ref.need and not hensel
+
+
+def _assert_no_witness_in_class(ref, c4, c2, c0, shift, depth, x0, j):
+    # the reference searching x0 + pi^j O to the given depth finds no square;
+    # a Hensel witness at x' (nu(f) >= j' > 2 nu(f')) places a root only
+    # within pi^(nu(f) - nu(f')) of x', and that must not be inside the class
+    named = []
+    probe = copy.copy(ref)
+    probe.describe = lambda x, jj: named.append(x) or ref.describe(x, jj)
+    status, wit = _reference_decide_chart(probe, c4, c2, c0, shift, depth, root=(x0, j))
+    if status == _CHART_SOLVED:
+        f, taylor = _ring_quartic(ref, c4, c2, c0)
+        k, kd = ref.nu(f(named[-1])), ref.nu(taylor(named[-1])[0])
+        assert wit.v == "0" and k - kd < j, (str(ref.p), x0, j, wit, k, kd)
+
+
+def test_oracle_kernel_grading_at_every_cap(chart_log):
+    # depth caps 1 to 5 on every candidate space of squarefree |b| <= 12, at
+    # every bad place of its curve, on all six fields: the fixture compares
+    # each chart with the reference and the ungraded kernel, and every class
+    # that the graded certificate kills while the ungraded one leaves it live
+    # holds no witness for the reference searching it to depth cap + 4: no
+    # square, and no Hensel root that Hensel's lemma places inside it
+    chart_log.evaluated = []
+    checked = set()  # a class killed at several caps is searched at the first
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        for n in range(1, 13):
+            if squarefree_factors(n) is None:
+                continue
+            for b in (n, -n):
+                spec = CurveSpec(b, F)
+                places = bad_places(spec.odd_primes, F)
+                for c in (c for side in Side for c in selmer_candidates(spec, side)):
+                    for pl in places:
+                        for cap in range(1, 6):
+                            oracle_search(c, pl, max_precision=cap)
+                for ref, c4, c2, c0, shift, cap, classes in chart_log.evaluated:
+                    for x0, j, values in classes:
+                        key = (type(ref), ref.p, getattr(ref, "root", None), c4, c2, c0, shift, x0, j)
+                        if key not in checked and _killed_by_grading(ref, c4, shift, x0, j, values):
+                            checked.add(key)
+                            _assert_no_witness_in_class(ref, c4, c2, c0, shift, cap + 4, x0, j)
+                chart_log.evaluated.clear()
+    assert {status for _, status in chart_log} == {_CHART_SOLVED, _CHART_DEAD, _CHART_EXHAUSTED}
+    assert len(checked) > 1000, len(checked)
 
 
 def test_oracle_kernel_matches_reference_with_middle_term(chart_log):
