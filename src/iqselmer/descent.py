@@ -77,15 +77,12 @@ def selmer_group(
     torsion_masks = {s.mask for s in spaces if s.torsion}
     if not torsion_masks <= masks:
         raise InternalInconsistency("torsion classes must be locally solvable")
-    # subgroup under multiplication modulo squares <=> xor-closure of masks
-    for m1 in masks:
-        for m2 in masks:
-            if m1 ^ m2 not in masks:
-                raise InternalInconsistency(f"classes not closed: {m1} * {m2}")
-    dim = len(masks).bit_length() - 1
+    # masks lies in the span of its basis, so it is a subgroup under
+    # multiplication modulo squares (closed under xor) iff it fills the span
     basis = _rref_basis(masks)
-    if 1 << dim != len(masks) or len(basis) != dim:
-        raise InternalInconsistency(f"{len(masks)} solvable classes with a basis of {len(basis)}")
+    dim = len(basis)
+    if len(masks) != 1 << dim:
+        raise InternalInconsistency(f"classes not closed: {len(masks)} solvable classes span 2^{dim}")
     # spaces is in mask order, so spaces[v] is the class of v's generators
     return dim, tuple(spaces[v] for v in basis), frozenset(reasons)
 

@@ -25,7 +25,11 @@ over the completion K_v:
 The predicates read quadfield.val_unit and residue_image, and
 charsums.ResidueField (an enumerated F_{p^2}) for characters at inert
 places.  The oracle reads none of them: its adapters compute valuations,
-residue images and squares with their own arithmetic at every place.
+residue images and squares with their own arithmetic at every place.  Each
+adapter is built from its Place and a precision M alone: integers mod p^M
+at a split place, and one ring of residue pairs a + b*w mod p^M (w^2 = w - c)
+at the inert, 2-adic and ramified places, which differ only in valuations,
+division by powers of pi, the children of a class and squares.
 
 Callers must never treat Unknown as either boolean: it means "this route
 cannot decide", and the other route should be consulted.
@@ -327,13 +331,7 @@ class _SplitLocal:
         return f
 
     def nu(self, x: int) -> int:
-        if x == 0:
-            return self.M
-        k = 0
-        while x % self.p == 0:
-            x //= self.p
-            k += 1
-        return k
+        return _vp(x, self.p, self.M)
 
     def shift_down(self, x: int, k: int) -> int:
         return x // self.p**k
@@ -355,14 +353,15 @@ class _SplitLocal:
 
 
 class _PairLocal:
-    """Completion with residue pairs (x + y*omega) at an inert odd place."""
+    """O_K tensor Z_p as residue pairs (x + y*omega) mod p^M, w^2 = w - c:
+    the completion at an inert odd place, and the ring of the 2-adic and
+    ramified adapters below."""
 
     need = 1
 
-    def __init__(self, pl: Place, F: FieldCtx, M: int):
+    def __init__(self, pl: Place, M: int):
         self.p = pl.p
-        self.c = F.omega_norm
-        self.F = F
+        self.c = pl.pi.cw
         self.M = M
         self.mod = pl.p**M
         self.zero = (0, 0)
@@ -416,15 +415,7 @@ class _PairLocal:
         return f
 
     def nu(self, x: Pair) -> int:
-        k = 0
-        a, b = x
-        if a == 0 and b == 0:
-            return self.M
-        while a % self.p == 0 and b % self.p == 0:
-            a //= self.p
-            b //= self.p
-            k += 1
-        return k
+        return min(_vp(x[0], self.p, self.M), _vp(x[1], self.p, self.M))
 
     def shift_down(self, x: Pair, k: int) -> Pair:
         q = self.p**k
@@ -465,9 +456,9 @@ class _TwoAdicLocal(_PairLocal):
 
     need = 3
 
-    def __init__(self, pl: Place, F: FieldCtx, M: int):
-        super().__init__(pl, F, M)
-        self.squares = _two_adic_unit_squares(F)
+    def __init__(self, pl: Place, M: int):
+        super().__init__(pl, M)
+        self.squares = _two_adic_unit_squares(self.c)
         self.squares4 = frozenset((a & 3, b & 3) for a, b in self.squares)
 
     def nu(self, x: Pair) -> int:
@@ -491,67 +482,48 @@ class _TwoAdicLocal(_PairLocal):
         return ((a, b), (a, b + step), (a + step, b), (a + step, b + step))
 
 
-class _RamifiedLocal:
-    """Completion at the ramified place: exact arithmetic, pi = sqrt(D),
-    valuations from the closed form nu(x) = min(2*vp(2a+b), 2*vp(b)+1)."""
+class _RamifiedLocal(_PairLocal):
+    """The ramified place, on the one ring of pairs mod p^M that also serves
+    the inert and 2-adic places, built like every adapter from its Place and
+    M alone.  Pairs mod p^M pin x mod pi^(2M), with pi = sqrt(D) = 2w - 1 and
+    pi^2 = D = -p; valuations are capped at M, the pi-adic precision."""
 
-    need = 1
-
-    def __init__(self, pl: Place, F: FieldCtx, M: int):
-        self.p = pl.p
-        self.F = F
+    def __init__(self, pl: Place, M: int):
+        super().__init__(pl, M)
         self.root = pl.omega_image  # a + b*w maps to a + b*root in F_p
-        self.M = M
-        self.pi = F.sqrt_disc()
-        self.zero = F.of(0)
-        self._pi_pows = [F.of(1)]
-        for _ in range(M + 1):
-            self._pi_pows.append(self._pi_pows[-1] * self.pi)
 
-    def coeff(self, x: QuadInt) -> QuadInt:
-        return x
-
-    def add(self, x: QuadInt, y: QuadInt) -> QuadInt:
-        return x + y
-
-    def mul(self, x: QuadInt, y: QuadInt) -> QuadInt:
-        return x * y
-
-    def quartic(self, c4: QuadInt, c2: QuadInt, c0: QuadInt):
-        """x -> (f, t1, t2, t3): f(x) = c4*x^4 + c2*x^2 + c0 and its Taylor
-        coefficients (4c4x^3 + 2c2x, 6c4x^2 + c2, 4c4x), exact in O_K."""
-        d4, d2, e4 = 4 * c4, 2 * c2, 6 * c4
-
-        def f(x: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt, QuadInt]:
-            x2 = x * x
-            t3 = d4 * x
-            return c4 * (x2 * x2) + c2 * x2 + c0, t3 * x2 + d2 * x, e4 * x2 + c2, t3
-
-        return f
-
-    def nu(self, x: QuadInt) -> int:
-        if x.is_zero:
-            return self.M
+    def nu(self, x: Pair) -> int:
+        # a + b*w = ((2a + b) + b*pi) / 2, and 2 is a unit
         p, M = self.p, self.M
-        return min(2 * _vp(2 * x.a + x.b, p, M), 2 * _vp(x.b, p, M) + 1, M)
+        return min(2 * _vp(2 * x[0] + x[1], p, M), 2 * _vp(x[1], p, M) + 1, M)
 
-    def shift_down(self, x: QuadInt, k: int) -> QuadInt:
-        for _ in range(k):
-            x = (x * self.pi).divide_exact(self.F.D)
-        return x
+    def shift_down(self, x: Pair, k: int) -> Pair:
+        # x / pi^k = x * pi^(k mod 2) / D^ceil(k/2), exact on the
+        # representatives; x * pi is not reduced, so x / pi^k stays known
+        # mod pi^(2M - k)
+        a, b = x
+        if k & 1:
+            a, b = -a - 2 * self.c * b, 2 * a + b
+        d = (-self.p) ** ((k + 1) // 2)
+        return (a // d, b // d)
 
-    def is_unit_square(self, u: QuadInt) -> bool:
-        return pow(u.a + u.b * self.root, (self.p - 1) // 2, self.p) == 1
+    def is_unit_square(self, u: Pair) -> bool:
+        return pow(u[0] + u[1] * self.root, (self.p - 1) // 2, self.p) == 1
 
-    def children(self, x0: QuadInt, j: int):
-        step = self._pi_pows[j]
-        return [x0 + t * step for t in range(self.p)]
+    def children(self, x0: Pair, j: int):
+        # pi^j = D^(j//2) * pi^(j mod 2)
+        d = (-self.p) ** (j // 2)
+        sa, sb = (-d, 2 * d) if j & 1 else (d, 0)
+        a, b, mod = x0[0], x0[1], self.mod
+        return [((a + t * sa) % mod, (b + t * sb) % mod) for t in range(self.p)]
 
-    def describe(self, x0: QuadInt, j: int) -> str:
-        return f"{x0} mod pi^{j}"
+    def describe(self, x0: Pair, j: int) -> str:
+        # p^ceil(j/2) O lies in pi^j O
+        q = self.p ** ((j + 1) // 2)
+        return f"{x0[0] % q}+{x0[1] % q}*w mod pi^{j}"
 
-    def sqrt_hint(self, u: QuadInt) -> str | None:
-        r = arith.sqrt_mod((u.a + u.b * self.root) % self.p, self.p)
+    def sqrt_hint(self, u: Pair) -> str | None:
+        r = arith.sqrt_mod((u[0] + u[1] * self.root) % self.p, self.p)
         return None if r is None else str(r)
 
 
@@ -567,11 +539,10 @@ def _vp(n: int, p: int, top: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _two_adic_unit_squares(F: FieldCtx) -> frozenset[Pair]:
-    """The omega-pairs mod 8 that are unit squares: the squares of the 48
-    unit pairs, as a unit is a square in O_2 iff it is one mod 8.  One table
-    per field, of six pairs."""
-    c = F.omega_norm
+def _two_adic_unit_squares(c: int) -> frozenset[Pair]:
+    """The omega-pairs mod 8 (w^2 = w - c) that are unit squares: the squares
+    of the 48 unit pairs, as a unit is a square in O_2 iff it is one mod 8.
+    One table per field, of six pairs."""
     return frozenset(
         ((a * a - c * b * b) % 8, b * (2 * a + b) % 8)
         for a in range(8)
@@ -581,25 +552,24 @@ def _two_adic_unit_squares(F: FieldCtx) -> frozenset[Pair]:
 
 
 @lru_cache(maxsize=256)
-def _local_adapter(pl: Place, F: FieldCtx, M: int):
-    """The adapter of pl working mod pi^M, built once (the split place lifts
-    omega's root, the ramified place tabulates powers of pi)."""
+def _local_adapter(pl: Place, M: int):
+    """The adapter of pl with valuations known to pi^M, built once from the
+    place alone (the split place lifts omega's root)."""
     if pl.kind is PlaceKind.SPLIT:
         return _SplitLocal(pl, M)
     if pl.kind is PlaceKind.RAMIFIED:
-        return _RamifiedLocal(pl, F, M)
+        return _RamifiedLocal(pl, M)
     if pl.kind is PlaceKind.TWO_ADIC:
-        return _TwoAdicLocal(pl, F, M)
-    return _PairLocal(pl, F, M)
+        return _TwoAdicLocal(pl, M)
+    return _PairLocal(pl, M)
 
 
 @lru_cache(maxsize=256)
 def _oracle_place(pl: Place):
-    """(F, base depth, adapter of the first pass) of pl: the search runs to
+    """(base depth, adapter of the first pass) of pl: the search runs to
     depth base, then 2 * base, each pass working mod pi^(2 * depth + 8)."""
-    F = _field_for_cw(pl.pi.cw)
     base = 7 if pl.kind is PlaceKind.TWO_ADIC else (12 if pl.kind is PlaceKind.RAMIFIED else 6)
-    return F, base, _local_adapter(pl, F, 2 * base + 8)
+    return base, _local_adapter(pl, 2 * base + 8)
 
 
 _CHART_SOLVED = "solved"
@@ -624,8 +594,9 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
     e = 2 when the unit f(x0) / 2^k is no square mod 4 (a unit square mod 8
     is one mod 4); otherwise e = need.  P >= j, and the case P = j
     (k + e <= j) is tried first.  A class with k >= j > 2 nu(t1) gives a
-    root by Hensel's lemma, as t1 = f'(x0), within pi^(k - nu(t1)) of x0;
-    it cannot also be decided at P = j, and is tested first otherwise.  The
+    root by Hensel's lemma, as t1 = f'(x0), within pi^(k - nu(t1)) of x0, so
+    its witness is x0 mod pi^min(j, k - nu(t1)); it cannot also be decided
+    at P = j, and is tested first otherwise.  The
     root class is read from the coefficients: f(0) = c0, (t1, t2, t3) =
     (0, c2, 0).
 
@@ -648,8 +619,9 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
             if e > j:
                 kd = nu(t1)
                 if k >= j > 2 * kd:
-                    # Hensel: f has an exact root; v = 0 point
-                    wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
+                    # Hensel: f has a root within pi^(k - kd) of x0; v = 0 point
+                    h = min(j, k - kd)
+                    wit = SolveWitness(u=adapter.describe(x0, h), w="1", v="0", precision=h)
                     return _CHART_SOLVED, wit
                 if e > j + kd or e > 2 * j + nu(t2) or e > 3 * j + nu(t3) or e > 4 * j + n4 or e > M:
                     live.append(x0)
@@ -672,7 +644,7 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
         level = chain.from_iterable(map(adapter.children, live, repeat(j)))
 
 
-def _strip_content(s: HomSpace, pl: Place, F: FieldCtx, ad):
+def _strip_content(s: HomSpace, pl: Place, ad):
     """(b1, a, b2) divided by pi^c, each known mod pi^M (M = ad.M), and their
     content c.
 
@@ -684,10 +656,10 @@ def _strip_content(s: HomSpace, pl: Place, F: FieldCtx, ad):
     images = [ad.coeff(x) for x in coeffs]
     c = min(map(ad.nu, images))  # a = 0 reads M
     if c >= M:
-        ad = _local_adapter(pl, F, M + min(_vp(x.norm(), pl.p, 0) for x in (s.b1, s.b2)))
+        ad = _local_adapter(pl, M + min(_vp(x.norm(), pl.p, 0) for x in (s.b1, s.b2)))
         c = min(ad.nu(ad.coeff(x)) for x in coeffs)
     if c:
-        ad = _local_adapter(pl, F, M + c)
+        ad = _local_adapter(pl, M + c)
         images = [ad.shift_down(ad.coeff(x), c) for x in coeffs]
     return images, c
 
@@ -705,7 +677,7 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
     thus decided within a few depths, not after about q^|v1 - v2| classes.
     Shares no local helper with the predicate route.
     """
-    F, base, first = _oracle_place(pl)
+    base, first = _oracle_place(pl)
     if max_precision is None:
         caps = (base, 2 * base)
     elif max_precision < 1:
@@ -715,8 +687,8 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
 
     last_live = 0
     for cap in caps:
-        adapter = first if cap == base else _local_adapter(pl, F, 2 * cap + 8)
-        (b1, a, b2), content = _strip_content(s, pl, F, adapter)
+        adapter = first if cap == base else _local_adapter(pl, 2 * cap + 8)
+        (b1, a, b2), content = _strip_content(s, pl, adapter)
         dead = 0
         live = 0
         for c4, c0, start, chart in ((b1, b2, 0, "u"), (b2, b1, 1, "w")):

@@ -166,7 +166,7 @@ def test_oracle_inert_squares_match_the_residue_field():
             pl = places_above(p, F)[0]
             if pl.kind is not PlaceKind.INERT:
                 continue
-            adapter = _PairLocal(pl, F, 1)
+            adapter = _PairLocal(pl, 1)
             K = _enumerated_inert_field(p, F.omega_norm)
             for a in range(p):
                 for b in range(p):
@@ -187,7 +187,7 @@ def test_oracle_two_adic_squares_match_the_embedding():
             for b in range(8)
             if is_square_unit_mod8(embed_mod8(QuadInt(a, b, F.omega_norm), F).pair)
         }
-        assert _two_adic_unit_squares(F) == embedded, D
+        assert _two_adic_unit_squares(F.omega_norm) == embedded, D
         assert len(embedded) == 6
 
 
@@ -207,7 +207,7 @@ def test_oracle_two_adic_squares_mod4_are_the_squares_mod8_reduced():
     # 2^k u for every unit pair u mod 8
     for D in SUPPORTED_DISCS:
         F = make_field(D)
-        ad = _local_adapter(places_above(2, F)[0], F, 22)
+        ad = _local_adapter(places_above(2, F)[0], 22)
         squares4, squares8 = _unit_squares(F.omega_norm, 4), _unit_squares(F.omega_norm, 8)
         assert ad.squares4 == squares4 and len(squares4) == 3, D
         assert ad.squares == squares8, D
@@ -344,7 +344,8 @@ def test_oracle_reads_no_predicate_helper(monkeypatch):
     # the oracle shares no local helper with the predicates: with val_unit
     # and residue_image refusing, it still agrees with the predicates at all
     # four kinds of place, for contents 0, 1 and 25 (past the first pass's M
-    # except at the ramified place, where M = 32)
+    # except at the ramified place, where M = 32); its adapters are built
+    # from the place alone, with no field looked up, even on empty caches
     spaces = [
         (HomSpace.make(pl.pi**e * b1, pl.pi**e * b2, F3), pl)
         for pl in (_place(p, F3) for p in (2, 3, 5, 7))
@@ -360,10 +361,14 @@ def test_oracle_reads_no_predicate_helper(monkeypatch):
     for module in (localsolve, quadfield):
         monkeypatch.setattr(module, "val_unit", refuse)
         monkeypatch.setattr(module, "residue_image", refuse)
+        monkeypatch.setattr(module, "make_field", refuse)
+    monkeypatch.setattr(localsolve, "_field_for_cw", refuse)
+    localsolve._oracle_place.cache_clear()
+    localsolve._local_adapter.cache_clear()
     for (s, pl), pred in zip(spaces, want):
         assert oracle_search(s, pl).tag is pred.tag, (str(s.b1), str(s.b2), str(pl))
     # the adapters are cached per (place, precision), and each place's
-    # context (field, base depth, first adapter) per place, in bounded caches
+    # context (base depth, first adapter) per place, in bounded caches
     assert isinstance(localsolve._local_adapter.cache_parameters()["maxsize"], int)
     assert isinstance(localsolve._oracle_place.cache_parameters()["maxsize"], int)
 
@@ -610,7 +615,8 @@ def _ungraded_decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int
             if k + need > j:
                 kd = nu(t1)
                 if k >= j > 2 * kd:
-                    wit = SolveWitness(u=adapter.describe(x0, j), w="1", v="0", precision=j)
+                    h = min(j, k - kd)  # the root is known only mod pi^(k - kd)
+                    wit = SolveWitness(u=adapter.describe(x0, h), w="1", v="0", precision=h)
                     return _CHART_SOLVED, wit
                 e = k + need
                 if e > j + kd or e > 2 * j + nu(t2) or e > 3 * j + nu(t3) or e > 4 * j + n4 or e > M:
@@ -658,13 +664,14 @@ class _RefTwoAdic(_RefPair, _TwoAdicLocal):
 
     def is_unit_square(self, u) -> bool:
         # convert the omega-pair to zeta coordinates; mod-8 data decides
-        return is_square_unit_mod8(embed_mod8(QuadInt(u[0] % 32, u[1] % 32, self.c), self.F).pair)
+        F = localsolve._field_for_cw(self.c)
+        return is_square_unit_mod8(embed_mod8(QuadInt(u[0] % 32, u[1] % 32, self.c), F).pair)
 
 
 class _RefRamified(_RamifiedLocal):
-    def is_unit_square(self, u: QuadInt) -> bool:
-        (pl,) = places_above(self.p, self.F)
-        return legendre_symbol(residue_image(u, pl), self.p) == 1
+    def is_unit_square(self, u) -> bool:
+        (pl,) = places_above(self.p, localsolve._field_for_cw(self.c))
+        return legendre_symbol(residue_image(QuadInt(u[0], u[1], self.c), pl), self.p) == 1
 
 
 # The adapters' methods as the replaced kernel used them: the valuation loop
@@ -717,7 +724,7 @@ def test_quartic_matches_ring_arithmetic():
     for F, ps in ((F3, (2, 3, 5, 7)), (F11, (2, 3, 7, 11))):
         for p in ps:
             for pl in places_above(p, F):
-                ad = _local_adapter(pl, F, 10)
+                ad = _local_adapter(pl, 10)
                 mul, add = ad.mul, ad.add
                 for _ in range(25):
                     c4, c2, c0, x, h = (
@@ -733,18 +740,20 @@ def test_quartic_matches_ring_arithmetic():
                     assert ring_f(add(x, h)) == add(val, moved), (p, str(pl))
 
 
-def _assert_certified(ref, c4, c2, c0, shift, x0):
+def _assert_certified(ref, c4, c2, c0, shift, x0, wit):
     # at the class representative itself: an even-valuation square, or
-    # Hensel's nu(f) > 2 nu(f')
+    # Hensel's nu(f) > 2 nu(f') with the root's class no finer than
+    # pi^(nu(f) - nu(f')), where Hensel's lemma places it
     f, taylor = _ring_quartic(ref, c4, c2, c0)
     val = f(x0)
     k = ref.nu(val)
-    square = (
-        (shift + k) % 2 == 0
-        and k + ref.need <= ref.M
-        and ref.is_unit_square(ref.shift_down(val, k))
-    )
-    assert square or k > 2 * ref.nu(taylor(x0)[0]), (type(ref).__name__, str(ref.p), x0)
+    where = (type(ref).__name__, str(ref.p), x0, wit)
+    if wit.v == "0":
+        kd = ref.nu(taylor(x0)[0])
+        assert k > 2 * kd and wit.precision <= k - kd, where
+    else:
+        assert (shift + k) % 2 == 0 and k + ref.need <= ref.M, where
+        assert ref.is_unit_square(ref.shift_down(val, k)), where
 
 
 class _ChartLog(list):
@@ -778,8 +787,8 @@ def _reference_oracle(s, pl, decide):
     base = 7 if pl.kind is PlaceKind.TWO_ADIC else (12 if pl.kind is PlaceKind.RAMIFIED else 6)
     for cap in (base, 2 * base):
         M = 2 * cap + 8
-        ref = _as_reference(_local_adapter(pl, F, M))
-        wide = _local_adapter(pl, F, M + content)
+        ref = _as_reference(_local_adapter(pl, M))
+        wide = _local_adapter(pl, M + content)
         b1, a, b2 = (wide.shift_down(wide.coeff(x), content) for x in (s.b1, s.a, s.b2))
         dead = 0
         for c4, c0 in ((b1, b2), (b2, b1)):
@@ -794,8 +803,9 @@ def _reference_oracle(s, pl, decide):
 
 def _uniformiser(ad):
     # the element whose powers the adapter's classes step by (p, or sqrt(D)
-    # at the ramified place); coeff reads only the coordinates of the QuadInt
-    return ad.pi if isinstance(ad, _RamifiedLocal) else ad.coeff(QuadInt(ad.p, 0, 1))
+    # = 2w - 1 at the ramified place); coeff reads only the coordinates of
+    # the QuadInt
+    return ad.coeff(QuadInt(-1, 2, ad.c) if isinstance(ad, _RamifiedLocal) else QuadInt(ad.p, 0, 1))
 
 
 @pytest.fixture
@@ -849,7 +859,7 @@ def chart_log(monkeypatch):
         else:
             assert got[0] == want[0], where
         if got[0] == _CHART_SOLVED:
-            _assert_certified(ref, c4, c2, c0, shift, named[-1])
+            _assert_certified(ref, c4, c2, c0, shift, named[-1], got[1])
         log.append((type(adapter).__name__, got[0]))
         log.reference.append(want[0])
         if log.evaluated is not None:
@@ -983,6 +993,69 @@ def test_oracle_kernel_matches_reference_when_precision_runs_out(chart_log):
         assert v.tag is VerdictTag.Unknown, p
     assert [status for _, status in chart_log] == [_CHART_EXHAUSTED, _CHART_DEAD] * 3
     assert [kind for kind, _ in chart_log[::2]] == ["_TwoAdicLocal", "_SplitLocal", "_PairLocal"]
+
+
+def test_hensel_witness_names_a_class_that_holds_the_root():
+    # at the split 7 of Q(sqrt(-3)), content 1, cap 6: nu(f(15)) = 3 and
+    # nu(f'(15)) = 1, so Hensel's lemma places the root within 7^2 of 15,
+    # and the witness is 15 mod 7^2; the root is 162 mod 7^3, and no member
+    # of 15 + 7^3 Z_7 is a root (f is nonzero mod 7^4 on the whole class)
+    c2, c0, mod = 79792129930222371, 11766646847061734, 7**20
+    ad = _local_adapter(_place(7, F3), 20)
+    status, wit = localsolve._decide_chart(ad, 61, c2, c0, 1, 6, 0)
+    assert (status, wit) == (_CHART_SOLVED, SolveWitness(u="15 mod 7^2", w="1", v="0", precision=2))
+    f = lambda x: (61 * x**4 + c2 * x * x + c0) % mod
+    df = lambda x: (244 * x**3 + 2 * c2 * x) % mod
+    root = 15
+    for _ in range(6):  # Newton's step on f / 7 and f' / 7, 7 | f' to order 1
+        root = (root - f(root) // 7 * pow(df(root) // 7, -1, mod // 7)) % (mod // 7)
+    assert f(root) % 7**16 == 0 and root % 7**2 == 15 and root % 7**3 == 162
+    assert all(f(15 + 7**3 * t) % 7**4 for t in range(7))
+
+
+def test_ramified_pairs_match_exact_arithmetic():
+    # the ramified adapter works on pairs mod p^M; at the ramified place of
+    # each field, x = pi^e * u for random units u and e <= M + 2 against the
+    # exact QuadInt arithmetic: valuation, division by pi^e to the precision
+    # left, the children x0 + t*pi^j, squares by Euler's criterion on the
+    # residue image, and the quartic against the exact closure
+    rng = random.Random(24)
+
+    def exact_quartic(c4, c2, c0):
+        d4, d2, e4 = 4 * c4, 2 * c2, 6 * c4
+
+        def f(x):
+            x2 = x * x
+            t3 = d4 * x
+            return c4 * (x2 * x2) + c2 * x2 + c0, t3 * x2 + d2 * x, e4 * x2 + c2, t3
+
+        return f
+
+    for D in SUPPORTED_DISCS:
+        F = make_field(D)
+        (pl,) = places_above(-D, F)
+        assert pl.kind is PlaceKind.RAMIFIED
+        p, pi = pl.p, F.sqrt_disc()
+        for M in (5, 32):
+            ad = _local_adapter(pl, M)
+            for _ in range(60):
+                u = ql(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), F)
+                if residue_image(u, pl) == 0:
+                    continue
+                e = rng.randint(0, M + 2)
+                x = pi**e * u
+                assert ad.nu(ad.coeff(x)) == min(e, M), (D, M, e, str(u))
+                diff = ad.shift_down(ad.coeff(x), e)
+                diff = QuadInt(diff[0], diff[1], F.omega_norm) - u
+                assert diff.is_zero or val_unit(diff, pl, F)[0] >= 2 * M - e, (D, M, e, str(u))
+                euler = pow(residue_image(u, pl), (p - 1) // 2, p) == 1
+                assert ad.is_unit_square(ad.coeff(u)) == euler, (D, str(u))
+                j = rng.randint(0, M - 1)
+                want = [ad.coeff(u + t * pi**j) for t in range(p)]
+                assert list(ad.children(ad.coeff(u), j)) == want, (D, M, j, str(u))
+                c4, c2, c0 = (ql(rng.randint(-999, 999), rng.randint(-999, 999), F) for _ in range(3))
+                got = ad.quartic(ad.coeff(c4), ad.coeff(c2), ad.coeff(c0))(ad.coeff(x))
+                assert got == tuple(map(ad.coeff, exact_quartic(c4, c2, c0)(x))), (D, M, e)
 
 
 def test_split_adapter_rejects_a_wrong_omega_image():
