@@ -245,6 +245,9 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> int:
+    if args.bmax < 1:
+        # a sweep over no b makes no check, so it cannot pass
+        raise DomainError(f"--bmax must be at least 1, got {args.bmax}")
     F = make_field(args.disc)
     specs = []
     for n in range(1, args.bmax + 1):

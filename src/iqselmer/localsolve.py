@@ -21,6 +21,11 @@ over the completion K_v:
   valuation of f(x0) and its unit mod pi^e.  The certificate asks only for
   the e its verdict needs: e = 1 for an odd total valuation, at 2 e = 2 for
   a unit that is no square mod 4, and e = need (3 at 2, else 1) otherwise.
+  The class of 0 at every depth reuses the chart's coefficients, with no
+  evaluation of f.  Conjugation swaps the two places above a split p and
+  maps the spaces of an integer b onto themselves, so a pass decided at one
+  of them is kept in a small memo (_SPLIT_MEMO, at most _SPLIT_MEMO_CAP
+  entries) under all that it reads, and answers the conjugate search once.
 
 The predicates read quadfield.val_unit and residue_image, and
 charsums.ResidueField (an enumerated F_{p^2}) for characters at inert
@@ -422,16 +427,10 @@ class _PairLocal:
         return (x[0] // q, x[1] // q)
 
     def is_unit_square(self, u: Pair) -> bool:
-        # Euler's criterion in F_{p^2}: u^((p^2-1)/2) = 1, by square-and-multiply
-        p, c = self.p, self.c
-        a, b = u[0] % p, u[1] % p
-        ra, rb, n = 1, 0, (p * p - 1) // 2
-        while n:
-            if n & 1:
-                ra, rb = (ra * a - c * rb * b) % p, (ra * b + rb * (a + b)) % p
-            a, b = (a * a - c * b * b) % p, b * (2 * a + b) % p
-            n >>= 1
-        return (ra, rb) == (1, 0)
+        # Euler's criterion in F_{p^2} through the norm: u^((p^2-1)/2) =
+        # N(u)^((p-1)/2), with N(a + b*w) = a^2 + ab + c*b^2
+        p, (a, b) = self.p, u
+        return pow((a * a + a * b + self.c * b * b) % p, (p - 1) // 2, p) == 1
 
     def children(self, x0: Pair, j: int):
         # both coordinates of x0 are below p^j, so those of every child stay
@@ -551,26 +550,38 @@ def _two_adic_unit_squares(c: int) -> frozenset[Pair]:
     )
 
 
-@lru_cache(maxsize=256)
+_ADAPTER_KINDS = {
+    PlaceKind.SPLIT: _SplitLocal,
+    PlaceKind.INERT: _PairLocal,
+    PlaceKind.TWO_ADIC: _TwoAdicLocal,
+    PlaceKind.RAMIFIED: _RamifiedLocal,
+}
+_ADAPTERS: dict[tuple[int, int, int, int, int], object] = {}
+_ADAPTERS_CAP = 256
+
+
 def _local_adapter(pl: Place, M: int):
     """The adapter of pl with valuations known to pi^M, built once from the
-    place alone (the split place lifts omega's root)."""
-    if pl.kind is PlaceKind.SPLIT:
-        return _SplitLocal(pl, M)
-    if pl.kind is PlaceKind.RAMIFIED:
-        return _RamifiedLocal(pl, M)
-    if pl.kind is PlaceKind.TWO_ADIC:
-        return _TwoAdicLocal(pl, M)
-    return _PairLocal(pl, M)
+    place alone (the split place lifts omega's root).  Cached by ints: a
+    Place hashes through Python-level dataclass and Enum methods."""
+    key = (pl.p, pl.pi.a, pl.pi.b, pl.pi.cw, M)
+    ad = _ADAPTERS.get(key)
+    if ad is None:
+        if len(_ADAPTERS) >= _ADAPTERS_CAP:
+            _ADAPTERS.clear()
+        ad = _ADAPTERS[key] = _ADAPTER_KINDS[pl.kind](pl, M)
+    return ad
 
 
-@lru_cache(maxsize=256)
-def _oracle_place(pl: Place):
-    """(base depth, adapter of the first pass) of pl: the search runs to
-    depth base, then 2 * base, each pass working mod pi^(2 * depth + 8)."""
-    base = 7 if pl.kind is PlaceKind.TWO_ADIC else (12 if pl.kind is PlaceKind.RAMIFIED else 6)
-    return base, _local_adapter(pl, 2 * base + 8)
-
+# Verdicts decided by a pass at a split place, keyed by all that the pass
+# reads there: (p, M, cap, stripped b1, a, b2, content mod 2), as
+# _decide_chart reads the content only by its parity and never reads the
+# lifted root.  The place above p conjugate to pl reads the images of the
+# conjugate space, so a sweep over a conjugation-stable set of spaces asks
+# each key twice; an entry is dropped when it is hit, and a full memo is
+# emptied.
+_SPLIT_MEMO: dict[tuple, Verdict] = {}
+_SPLIT_MEMO_CAP = 1024
 
 _CHART_SOLVED = "solved"
 _CHART_DEAD = "dead"
@@ -597,8 +608,8 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
     root by Hensel's lemma, as t1 = f'(x0), within pi^(k - nu(t1)) of x0, so
     its witness is x0 mod pi^min(j, k - nu(t1)); it cannot also be decided
     at P = j, and is tested first otherwise.  The
-    root class is read from the coefficients: f(0) = c0, (t1, t2, t3) =
-    (0, c2, 0).
+    class of 0, at every depth, is read from the coefficients: f(0) = c0,
+    (t1, t2, t3) = (0, c2, 0).
 
     Returns (_CHART_SOLVED, witness) / (_CHART_DEAD, None) /
     (_CHART_EXHAUSTED, live_count).
@@ -606,12 +617,12 @@ def _decide_chart(adapter, c4, c2, c0, shift: int, cap: int, start: int):
     nu, need, M, zero = adapter.nu, adapter.need, adapter.M, adapter.zero
     n4 = nu(c4)
     root = (c0, zero, c2, zero)
-    f = lambda x0: root  # the quartic is built only if the root class is refined
+    f = None  # the quartic is built only if the root class is refined
     level = [zero]
     for j in range(start, cap + 1):
         live = []
         for x0 in level:
-            val, t1, t2, t3 = f(x0)
+            val, t1, t2, t3 = root if x0 == zero else f(x0)
             k = nu(val)
             e = k + 1 if (shift + k) & 1 else k + need
             if e > j and e > k + 2 and not adapter.square_mod4(val, k):  # even, at 2
@@ -650,18 +661,22 @@ def _strip_content(s: HomSpace, pl: Place, ad):
 
     The valuations of the images mod pi^M are exact below M.  When all three
     vanish there, v_pi(x) <= v_p(N(x)) bounds c, and a deeper reading finds
-    it.  The coefficients are then read mod pi^(M + c) before the shift.
+    it.  The coefficients are then read mod pi^(M + c) before the shift.  A
+    zero a is neither read nor shifted.
     """
-    M, coeffs = ad.M, (s.b1, s.a, s.b2)
+    M, coeffs = ad.M, ((s.b1, s.b2) if s.a.is_zero else (s.b1, s.b2, s.a))
     images = [ad.coeff(x) for x in coeffs]
-    c = min(map(ad.nu, images))  # a = 0 reads M
+    c = min(map(ad.nu, images))
     if c >= M:
         ad = _local_adapter(pl, M + min(_vp(x.norm(), pl.p, 0) for x in (s.b1, s.b2)))
         c = min(ad.nu(ad.coeff(x)) for x in coeffs)
     if c:
         ad = _local_adapter(pl, M + c)
         images = [ad.shift_down(ad.coeff(x), c) for x in coeffs]
-    return images, c
+    return (images[0], images[2] if len(images) == 3 else ad.zero, images[1]), c
+
+
+_EXHAUSTED = _insolvable("oracle:exhausted-classes")
 
 
 def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> Verdict:
@@ -677,7 +692,8 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
     thus decided within a few depths, not after about q^|v1 - v2| classes.
     Shares no local helper with the predicate route.
     """
-    base, first = _oracle_place(pl)
+    kind = pl.kind
+    base = 7 if kind is PlaceKind.TWO_ADIC else (12 if kind is PlaceKind.RAMIFIED else 6)
     if max_precision is None:
         caps = (base, 2 * base)
     elif max_precision < 1:
@@ -685,10 +701,18 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
     else:
         caps = (max_precision,) if max_precision <= base else (base, max_precision)
 
+    memo = _SPLIT_MEMO if kind is PlaceKind.SPLIT else None
     last_live = 0
     for cap in caps:
-        adapter = first if cap == base else _local_adapter(pl, 2 * cap + 8)
+        # each pass works mod pi^(2 * cap + 8)
+        adapter = _local_adapter(pl, 2 * cap + 8)
         (b1, a, b2), content = _strip_content(s, pl, adapter)
+        if memo is not None:
+            key = (pl.p, adapter.M, cap, b1, a, b2, content & 1)
+            verdict = memo.pop(key, None)
+            if verdict is not None:
+                return verdict
+        verdict = None
         dead = 0
         live = 0
         for c4, c0, start, chart in ((b1, b2, 0, "u"), (b2, b1, 1, "w")):
@@ -697,13 +721,20 @@ def oracle_search(s: HomSpace, pl: Place, max_precision: int | None = None) -> V
                 wit = info
                 if chart == "w":
                     wit = SolveWitness(u=wit.w, w=wit.u, v=wit.v, precision=wit.precision)
-                return _solvable("oracle:residue-search", wit)
+                verdict = _solvable("oracle:residue-search", wit)
+                break
             if status == _CHART_DEAD:
                 dead += 1
             else:
                 live += info
         if dead == 2:
-            return _insolvable("oracle:exhausted-classes")
+            verdict = _EXHAUSTED
+        if verdict is not None:
+            if memo is not None:
+                if len(memo) >= _SPLIT_MEMO_CAP:
+                    memo.clear()
+                memo[key] = verdict
+            return verdict
         last_live = live
     return _unknown(f"oracle:precision-exhausted(cap={caps[-1]},live={last_live})")
 

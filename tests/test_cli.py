@@ -177,6 +177,14 @@ def test_verify_oracle_rejects_nonpositive_precision(capsys, precision):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("bmax", ["0", "-1"])
+def test_verify_oracle_rejects_an_empty_sweep(capsys, bmax):
+    # no b, no check: a sweep that searched nothing must not read "pass"
+    code, out = run_cli(capsys, "verify", "oracle", "--disc", "-3", "--bmax", bmax)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 @pytest.mark.parametrize("precision,undecided", [("1", 24), ("2", 8), ("3", 8), ("4", 0), ("5", 0)])
 def test_verify_oracle_precision_leaves_few_classes_undecided(capsys, precision, undecided):
     # a residue class is decided once the Taylor bound pins f on it as far
@@ -194,14 +202,10 @@ def test_verify_oracle_precision_leaves_few_classes_undecided(capsys, precision,
     assert payload["pass"] is (undecided == 0)
 
 
-def test_verify_oracle_two_adic_work(capsys, monkeypatch):
-    # the 2-adic searches of verify oracle --bmax 15 on all six fields (one
-    # benchmark round) evaluate f 14607 times: a guard on the work that the
-    # graded certificate saves, as no verdict shows it
-    from iqselmer import localsolve
-
+def _count_evaluations(monkeypatch, adapter) -> list[int]:
+    # counts the evaluations of f by every quartic the adapter class builds
     count = [0]
-    quartic = localsolve._TwoAdicLocal.quartic
+    quartic = adapter.quartic
 
     def counted(self, c4, c2, c0):
         f = quartic(self, c4, c2, c0)
@@ -212,11 +216,84 @@ def test_verify_oracle_two_adic_work(capsys, monkeypatch):
 
         return f_counted
 
-    monkeypatch.setattr(localsolve._TwoAdicLocal, "quartic", counted)
+    monkeypatch.setattr(adapter, "quartic", counted)
+    return count
+
+
+def _benchmark_round(capsys):
+    # verify oracle --bmax 15 on all six fields: one benchmark round
     for disc in ("-3", "-11", "-19", "-43", "-67", "-163"):
         code, out = run_cli(capsys, "verify", "oracle", "--disc", disc, "--bmax", "15")
         assert code == 0 and json.loads(out)["pass"] is True, disc
-    assert 0 < count[0] <= 15000, count[0]
+
+
+def test_verify_oracle_two_adic_work(capsys, monkeypatch):
+    # the 2-adic searches of one benchmark round evaluate f 11689 times
+    # (14607 before the class of 0 was read from the coefficients at every
+    # depth): a guard on the work that the graded certificate saves, as no
+    # verdict shows it
+    from iqselmer import localsolve
+
+    count = _count_evaluations(monkeypatch, localsolve._TwoAdicLocal)
+    _benchmark_round(capsys)
+    assert 0 < count[0] <= 11800, count[0]
+
+
+def test_verify_oracle_split_work(capsys, monkeypatch):
+    # the split-place searches of one benchmark round evaluate f 2304 times
+    # (6144 with every search made and f evaluated at every class of 0):
+    # half of them are answered by the search at the conjugate place
+    from iqselmer import localsolve
+
+    monkeypatch.setattr(localsolve, "_SPLIT_MEMO", {})
+    count = _count_evaluations(monkeypatch, localsolve._SplitLocal)
+    _benchmark_round(capsys)
+    assert 0 < count[0] <= 2400, count[0]
+
+
+def test_split_memo_matches_the_searches_it_skips(capsys, monkeypatch):
+    # every search of verify oracle --bmax 30 on all six fields, with the
+    # memo of split-place verdicts and with it patched out: the same (tag,
+    # reason, witness) everywhere, exactly half of the split searches
+    # answered by the memo, and the memo empty when each sweep over one b
+    # starts and when each command ends
+    from iqselmer import cli, localsolve
+
+    class CountingMemo(dict):
+        hits = 0
+
+        def pop(self, key, default=None):
+            self.hits += key in self
+            return super().pop(key, default)
+
+    search, places = localsolve.oracle_search, localsolve.bad_places
+    runs = {}
+
+    def sweep_all(memo):
+        monkeypatch.setattr(localsolve, "_SPLIT_MEMO", memo)
+        out = runs["off" if memo is None else "on"] = []
+
+        def recorded(s, pl, max_precision=None):
+            v = search(s, pl, max_precision)
+            out.append((str(s.b1), str(pl), pl.kind, v.tag, v.reason, v.witness))
+            return v
+
+        def sweep_start(*args):
+            assert not memo
+            return places(*args)
+
+        monkeypatch.setattr(cli, "oracle_search", recorded)
+        monkeypatch.setattr(cli, "bad_places", sweep_start)
+        for disc in ("-3", "-11", "-19", "-43", "-67", "-163"):
+            code, _ = run_cli(capsys, "verify", "oracle", "--disc", disc, "--bmax", "30")
+            assert code == 0 and not memo, disc
+
+    memo = CountingMemo()
+    sweep_all(memo)
+    sweep_all(None)
+    assert len(runs["off"]) == 16384 and runs["on"] == runs["off"]
+    split = sum(row[2] is localsolve.PlaceKind.SPLIT for row in runs["off"])
+    assert split > 0 and 2 * memo.hits == split, (memo.hits, split)
 
 
 def test_verify_trace_lemma(capsys):

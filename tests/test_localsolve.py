@@ -363,14 +363,34 @@ def test_oracle_reads_no_predicate_helper(monkeypatch):
         monkeypatch.setattr(module, "residue_image", refuse)
         monkeypatch.setattr(module, "make_field", refuse)
     monkeypatch.setattr(localsolve, "_field_for_cw", refuse)
-    localsolve._oracle_place.cache_clear()
-    localsolve._local_adapter.cache_clear()
+    localsolve._ADAPTERS.clear()
+    localsolve._SPLIT_MEMO.clear()
     for (s, pl), pred in zip(spaces, want):
         assert oracle_search(s, pl).tag is pred.tag, (str(s.b1), str(s.b2), str(pl))
-    # the adapters are cached per (place, precision), and each place's
-    # context (base depth, first adapter) per place, in bounded caches
-    assert isinstance(localsolve._local_adapter.cache_parameters()["maxsize"], int)
-    assert isinstance(localsolve._oracle_place.cache_parameters()["maxsize"], int)
+    # the adapters are cached per (place, precision), and the split-place
+    # verdicts kept for the conjugate place, in caches of a finite cap
+    assert isinstance(localsolve._ADAPTERS_CAP, int) and localsolve._ADAPTERS_CAP > 0
+    assert isinstance(localsolve._SPLIT_MEMO_CAP, int) and localsolve._SPLIT_MEMO_CAP > 0
+    assert 0 < len(localsolve._ADAPTERS) <= localsolve._ADAPTERS_CAP
+    assert 0 < len(localsolve._SPLIT_MEMO) <= localsolve._SPLIT_MEMO_CAP
+
+
+def test_split_memo_is_emptied_when_full(monkeypatch):
+    # searches at one split place whose conjugates are never asked: the memo
+    # keeps at most its cap, starting over when full, with every verdict
+    # that of the search with the memo patched out
+    pl = _place(7, F3)
+    spaces = [HomSpace.make(b1, b2, F3) for b1, b2 in ((1, 3), (5, -7), (2, 6), (3, 50), (-1, 7))]
+    monkeypatch.setattr(localsolve, "_SPLIT_MEMO", None)
+    want = [oracle_search(s, pl) for s in spaces]
+    memo = {}
+    monkeypatch.setattr(localsolve, "_SPLIT_MEMO", memo)
+    monkeypatch.setattr(localsolve, "_SPLIT_MEMO_CAP", 2)
+    sizes = []
+    for s, v in zip(spaces, want):
+        assert oracle_search(s, pl) == v, (str(s.b1), str(s.b2))
+        sizes.append(len(memo))
+    assert sizes == [1, 2, 1, 2, 1]
 
 
 def test_oracle_honest_unknown_on_degenerate_quartic():
@@ -819,7 +839,9 @@ def chart_log(monkeypatch):
     the witness are the same; where it runs out of depth, the kernel ends
     dead or with no more live classes.  Every solved witness is re-checked
     exactly at the class representative it names.  With log.evaluated set
-    to a list, each chart's classes are kept as (x0, j, (f, t1, t2, t3))."""
+    to a list, each chart's classes are kept as (x0, j, (f, t1, t2, t3)),
+    the class of 0 with the values read from the coefficients.  The memo
+    of split-place verdicts is patched out, so no chart is skipped."""
     fast = localsolve._decide_chart
     log = _ChartLog()
 
@@ -831,6 +853,8 @@ def chart_log(monkeypatch):
 
         def children(x0, j):
             depth[0] = j + 1
+            if x0 == zero:  # the first child, 0 again
+                classes.append((zero, j + 1, classes[0][2]))
             return adapter.children(x0, j)
 
         def quartic(*coeffs):
@@ -867,6 +891,7 @@ def chart_log(monkeypatch):
         return got
 
     monkeypatch.setattr(localsolve, "_decide_chart", both)
+    monkeypatch.setattr(localsolve, "_SPLIT_MEMO", None)
     return log
 
 
