@@ -5,7 +5,8 @@ by direct enumeration, and scans entire (c, d) ranges for exceptions.
 Also provides the residue-field model (including F_{p^2} with a custom
 quadratic modulus), which serves only `verify charsum` and the local
 solvability predicates at inert places; elsewhere the predicates, and the
-search oracle everywhere, use their own arithmetic.
+search oracle everywhere, use their own arithmetic.  Its chi reads a q-byte
+table of the nonzero squares, built on first use by squaring every element.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ Element = "int | tuple[int, ...]"
 
 # highest extension degree k of a residue field F_{p^k}
 MAX_DEGREE = 4
-# largest field order: the square set of F_q is enumerated on first use
+# largest field order: chi squares all q elements on first use (a q-byte table)
 MAX_ORDER = 10**8
 
 
@@ -138,19 +139,32 @@ class ResidueField:
             for coeffs in product(range(self.p), repeat=self.k):
                 yield coeffs
 
+    def _code(self, x) -> int:
+        # x as an integer in [0, q): sum c_i p^i for k >= 2
+        if self.k == 1:
+            return x
+        code = 0
+        for c in reversed(x):
+            code = code * self.p + c
+        return code
+
     @property
-    def _square_set(self) -> frozenset:
-        cached = getattr(self, "_sq_cache", None)
+    def _squares(self) -> bytearray:
+        # q bytes: entry _code(x) is 1 when x is a nonzero square
+        cached = getattr(self, "_sq_table", None)
         if cached is None:
-            cached = frozenset(self.mul(x, x) for x in self.elements())
-            self._sq_cache = cached
+            cached = bytearray(self.q)
+            for x in self.elements():
+                cached[self._code(self.mul(x, x))] = 1
+            cached[0] = 0
+            self._sq_table = cached
         return cached
 
     def chi(self, x) -> int:
         x = self.coerce(x)
         if x == self.zero:
             return 0
-        return 1 if x in self._square_set else -1
+        return 1 if self._squares[self._code(x)] else -1
 
     def is_fourth_power(self, x) -> bool:
         """x != 0 and x = y^4 for some y (chi_4(x) = 1)."""

@@ -244,10 +244,14 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+# largest --bmax: the sweep factors every n up to it before the first search
+MAX_BMAX = 10**4
+
+
 def _cmd_verify_oracle(args: argparse.Namespace) -> int:
-    if args.bmax < 1:
+    if not 1 <= args.bmax <= MAX_BMAX:
         # a sweep over no b makes no check, so it cannot pass
-        raise DomainError(f"--bmax must be at least 1, got {args.bmax}")
+        raise DomainError(f"--bmax must be from 1 to {MAX_BMAX}, got {args.bmax}")
     F = make_field(args.disc)
     specs = []
     for n in range(1, args.bmax + 1):

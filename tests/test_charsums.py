@@ -1,8 +1,11 @@
 """Character existence checks and exception scans over small fields."""
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
+from iqselmer import arith
 from iqselmer.charsums import (
     ResidueField,
     chi_exists,
@@ -10,7 +13,7 @@ from iqselmer.charsums import (
     exception_scan,
 )
 from iqselmer.errors import DomainError, InvalidModulus, ZeroCoefficient
-from iqselmer.quadfield import legendre_symbol
+from iqselmer.quadfield import SUPPORTED_DISCS, legendre_symbol
 
 
 def test_chi_prime_field():
@@ -139,3 +142,47 @@ def test_residue_field_refuses_an_order_past_1e8():
     for p, k in ((10007, 2), (101, 4), (1000000000039, 2)):
         with pytest.raises(DomainError):
             ResidueField(p, k)
+
+
+def test_chi_is_euler_on_the_norm_at_every_inert_prime_below_60():
+    # F_{p^2} = F_p[z]/(z^2 - z + c) as at the inert places of localsolve:
+    # a + b*z has norm a^2 + ab + c*b^2, and x^((p^2-1)/2) = N(x)^((p-1)/2)
+    units = 0
+    for D in SUPPORTED_DISCS:
+        c = (1 - D) // 4
+        for p in arith.primes_upto(59):
+            if p == 2 or legendre_symbol(D, p) != -1:
+                continue
+            F = ResidueField(p, 2, modulus=(1, -1, c))
+            for a in range(p):
+                for b in range(p):
+                    if a or b:
+                        units += 1
+                        assert F.chi((a, b)) == legendre_symbol(a * a + a * b + c * b * b, p), (D, p, a, b)
+    assert units == 47024
+
+
+def test_chi_matches_the_enumerated_squares_below_243():
+    for q in range(3, 243, 2):
+        try:
+            F = default_field(q)
+        except InvalidModulus:
+            continue  # not a prime power
+        squares = {F.mul(x, x) for x in F.elements()}
+        for x in F.elements():
+            want = 0 if x == F.zero else (1 if x in squares else -1)
+            assert F.chi(x) == want, (q, x)
+
+
+def test_inert_field_keeps_a_table_not_a_set():
+    # F_{211^2} as localsolve presents it over Q(sqrt(-11)): a set of its
+    # squares would peak about 3.7 MB here, the q-byte table needs 45 kB
+    tracemalloc.start()
+    try:
+        F = ResidueField(211, 2, modulus=(1, -1, 3))
+        assert F.chi((1, 1)) == legendre_symbol(5, 211)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not any(isinstance(v, (set, frozenset, dict)) for v in vars(F).values())

@@ -185,6 +185,15 @@ def test_verify_oracle_rejects_an_empty_sweep(capsys, bmax):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+def test_verify_oracle_refuses_a_bmax_past_its_cap_at_once(capsys):
+    # no n is factored: the refusal comes before the sweep is built
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "verify", "oracle", "--disc", "-3", "--bmax", "1000000000")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert time.perf_counter() - t0 < 1
+
+
 @pytest.mark.parametrize("precision,undecided", [("1", 24), ("2", 8), ("3", 8), ("4", 0), ("5", 0)])
 def test_verify_oracle_precision_leaves_few_classes_undecided(capsys, precision, undecided):
     # a residue class is decided once the Taylor bound pins f on it as far
