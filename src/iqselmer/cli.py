@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+from functools import lru_cache
 
 from . import arith
 from .charsums import MAX_DEGREE, default_field, exception_scan
 from .congruent import (
     CongruentVerdict,
     congruent_verdict,
+    iter_verdicts,
     rank_formula_obstruction,
-    scan_new_congruent,
-    scan_verdicts,
 )
 from .descent import closed_form_rank, selmer_rank2
 from .errors import DomainError, InternalInconsistency
@@ -46,8 +46,13 @@ from .residue2adic import (
 )
 
 
+# json.dumps(payload, sort_keys=True) builds an encoder per call; a scan
+# prints one line per n
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(_ENCODER.encode(payload))
 
 
 def _field_name(F: FieldCtx) -> str:
@@ -136,10 +141,15 @@ def _cmd_congruent_check(args: argparse.Namespace) -> int:
     return 0
 
 
+# largest --max: the scan factors every n up to it, about 9 s at 10^5
+MAX_SCAN = 10**6
+
+
 def _cmd_congruent_scan(args: argparse.Namespace) -> int:
+    if args.max > MAX_SCAN:
+        raise DomainError(f"--max must be at most {MAX_SCAN}, got {args.max}")
     F = make_field(args.disc)
-    verdicts = scan_new_congruent(args.max, F) if args.only_new else scan_verdicts(args.max, F)
-    for v in verdicts:
+    for v in iter_verdicts(args.max, F, only_new=args.only_new):
         _emit(_verdict_payload(v))
     return 0
 
@@ -214,7 +224,13 @@ def _cmd_verify_charsum(args: argparse.Namespace) -> int:
     return 0
 
 
+# largest trace-lemma --pmax: the sweep sieves every prime up to it
+MAX_TRACE_PMAX = 10**6
+
+
 def _cmd_verify_trace(args: argparse.Namespace) -> int:
+    if args.pmax > MAX_TRACE_PMAX:
+        raise DomainError(f"--pmax must be at most {MAX_TRACE_PMAX}, got {args.pmax}")
     F = make_field(args.disc)
     split = [p for p in arith.primes_upto(args.pmax) if p > 2 and splitting_type(p, F).kind is PlaceKind.SPLIT]
     one, two = R8Elem(1, 0), R8Elem(2, 0)
@@ -304,7 +320,14 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+# largest theorems --pmax: one curve per pair of inert primes up to it, so
+# the sweep's cost grows about as pmax^3 (about 6 s at 300)
+MAX_THEOREMS_PMAX = 1000
+
+
 def _cmd_verify_theorems(args: argparse.Namespace) -> int:
+    if args.pmax > MAX_THEOREMS_PMAX:
+        raise DomainError(f"--pmax must be at most {MAX_THEOREMS_PMAX}, got {args.pmax}")
     F = make_field(args.disc)
     odd_primes = [p for p in arith.primes_upto(args.pmax) if p > 2]
     inert = [p for p in odd_primes if splitting_type(p, F).kind is PlaceKind.INERT]
@@ -362,7 +385,9 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> int:
 # parser
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     ap = argparse.ArgumentParser(
         prog="iqselmer",
         description=(

@@ -8,6 +8,7 @@ finite, so such n become congruent conditionally.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -159,17 +160,25 @@ def congruent_verdict(n: int, F: FieldCtx) -> CongruentVerdict:
     )
 
 
+def iter_verdicts(n_max: int, F: FieldCtx, only_new: bool = False) -> Iterator[CongruentVerdict]:
+    """Verdicts for every squarefree 1 <= n <= n_max, ascending, each yielded
+    as soon as it is decided; only_new keeps those of scan_new_congruent."""
+    for n in range(1, n_max + 1):
+        if squarefree_factors(n) is None:
+            continue
+        v = congruent_verdict(n, F)
+        if not only_new or (
+            v.q_status is QStatus.NOT_CONGRUENT
+            and v.k_status is KStatus.CONDITIONAL_CONGRUENT
+        ):
+            yield v
+
+
 def scan_verdicts(n_max: int, F: FieldCtx) -> tuple[CongruentVerdict, ...]:
     """Verdicts for every squarefree 1 <= n <= n_max, ascending."""
-    ns = [n for n in range(1, n_max + 1) if squarefree_factors(n) is not None]
-    return tuple(congruent_verdict(n, F) for n in ns)
+    return tuple(iter_verdicts(n_max, F))
 
 
 def scan_new_congruent(n_max: int, F: FieldCtx) -> tuple[CongruentVerdict, ...]:
     """Squarefree n <= n_max not congruent over Q yet conditionally congruent over K."""
-    return tuple(
-        v
-        for v in scan_verdicts(n_max, F)
-        if v.q_status is QStatus.NOT_CONGRUENT
-        and v.k_status is KStatus.CONDITIONAL_CONGRUENT
-    )
+    return tuple(iter_verdicts(n_max, F, only_new=True))

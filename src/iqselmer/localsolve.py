@@ -229,8 +229,16 @@ _FOURTH_POWERS_MOD32 = frozenset(zpow((x0, x1), 4, 32) for x0 in range(8) for x1
 _GAP_REASONS = {1: "two:valuation-gap-one", 2: "two:valuation-gap-two"}
 
 
+# the 2-adic place of each field, built once and keyed by the int
+# F.omega_norm, as a FieldCtx hashes through Python-level dataclass methods
+_TWO_ADIC_PLACES: dict[int, Place] = {}
+
+
 def _two_adic_place(F: FieldCtx) -> Place:
-    (pl,) = places_above(2, F)
+    pl = _TWO_ADIC_PLACES.get(F.omega_norm)
+    if pl is None:
+        (pl,) = places_above(2, F)
+        _TWO_ADIC_PLACES[F.omega_norm] = pl
     return pl
 
 

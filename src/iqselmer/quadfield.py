@@ -339,15 +339,26 @@ def places_above(p: int, F: FieldCtx) -> tuple[Place, ...]:
 def val_unit(x: "QuadInt | int", place: Place, F: FieldCtx) -> tuple[int, QuadInt]:
     """x = pi^val * unit at the given place; exact on all of O_K - {0}.
 
-    pi divides y exactly when N(pi) divides both coordinates of y*conj(pi),
-    and then y/pi = y*conj(pi)/N(pi); one loop serves every kind of place.
+    A residue test, then one loop.  Where pi is the rational prime p (inert
+    places and 2), pi divides y exactly when p divides both coordinates.
+    Elsewhere the residue field is F_p, and a nonzero image of x there
+    makes x a unit; otherwise pi divides y exactly when N(pi) divides both
+    coordinates of y*conj(pi), and then y/pi = y*conj(pi)/N(pi).
     """
     x = F.of(x)
     if x.is_zero:
         raise ZeroCoefficient(f"0 has no valuation at {place}")
-    c, pi = x.cw, place.pi
+    a, b, c, k = x.a, x.b, x.cw, 0
+    r = place.omega_image
+    if r is None:
+        p = place.p
+        while a % p == 0 and b % p == 0:
+            a, b, k = a // p, b // p, k + 1
+        return (0, x) if k == 0 else (k, QuadInt(a, b, c))
+    if (a + b * r) % place.p:
+        return 0, x
+    pi = place.pi
     ca, cb, n = pi.a + pi.b, -pi.b, pi.norm()  # conj(pi) = ca + cb*w
-    a, b, k = x.a, x.b, 0
     while True:
         # (a + b*w)(ca + cb*w) with w^2 = w - c
         s, t = a * ca - b * cb * c, a * cb + b * ca + b * cb

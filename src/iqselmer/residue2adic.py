@@ -114,9 +114,12 @@ UNIT_SQUARES_MOD8 = FOURTH_POWERS_MOD8 | frozenset(
 )
 
 
+_UNIT_SQUARE_PAIRS_MOD8 = frozenset(r.pair for r in UNIT_SQUARES_MOD8)
+
+
 def is_square_unit_mod8(x: Pair) -> bool:
     """Unit-square test on a coordinate pair (any lift; reduced mod 8 here)."""
-    return R8Elem(x[0], x[1]) in UNIT_SQUARES_MOD8
+    return (x[0] & 7, x[1] & 7) in _UNIT_SQUARE_PAIRS_MOD8
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ import iqselmer
 from iqselmer.charsums import default_field
 from iqselmer.cli import main
 from iqselmer.congruent import SHA_HYPOTHESIS
+from iqselmer.errors import DomainError
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
 
@@ -192,6 +193,79 @@ def test_verify_oracle_refuses_a_bmax_past_its_cap_at_once(capsys):
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "theorems", "--disc", "-3", "--pmax", "100000000"),
+        ("verify", "trace-lemma", "--disc", "-3", "--pmax", "10000000000"),
+        ("congruent", "scan", "--disc", "-3", "--max", "100000000000"),
+    ],
+)
+def test_sweeps_refuse_a_bound_past_their_cap_at_once(capsys, argv):
+    # no prime is sieved and no n factored: the refusal comes first
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert time.perf_counter() - t0 < 1
+
+
+def test_sweep_caps_admit_the_documented_bounds():
+    from iqselmer import cli
+
+    assert cli.MAX_SCAN >= 100000 and cli.MAX_THEOREMS_PMAX >= 300 and cli.MAX_TRACE_PMAX >= 1000
+
+
+def test_congruent_scan_streams_its_lines(capsys, monkeypatch):
+    # a verdict that fails past n = 10 ends the scan, and every line decided
+    # before it is already printed, with --only-new applied as it goes
+    from iqselmer import congruent
+
+    decide = congruent.congruent_verdict
+
+    def failing(n, F):
+        if n > 10:
+            raise DomainError(f"stop at {n}")
+        return decide(n, F)
+
+    monkeypatch.setattr(congruent, "congruent_verdict", failing)
+    code, out = run_cli(capsys, "congruent", "scan", "--disc", "-3", "--max", "30")
+    *lines, last = out.splitlines()
+    assert code == 1 and json.loads(last)["error"]["message"] == "stop at 11"
+    assert [json.loads(line)["n"] for line in lines] == [1, 2, 3, 5, 6, 7, 10]
+    code, out = run_cli(capsys, "congruent", "scan", "--disc", "-3", "--max", "30", "--only-new")
+    *lines, last = out.splitlines()
+    assert code == 1 and [json.loads(line)["n"] for line in lines] == [10]
+
+
+def test_selrank_builds_no_place_or_r8elem_per_predicate(capsys, monkeypatch):
+    # b = 31 * 103 * 163 over Q(sqrt(-3)): 512 classes at 7 places, 512
+    # 2-adic predicate calls.  The 2-adic place is built once per field, not
+    # once per call (520 places_above calls when it was), and the square
+    # test mod 8 looks up pairs (1080 R8Elem when it built them)
+    from iqselmer import localsolve, quadfield, residue2adic
+
+    calls = {"places_above": 0, "R8Elem": 0}
+    places_above, post_init = quadfield.places_above, residue2adic.R8Elem.__post_init__
+
+    def counted_places(p, F):
+        calls["places_above"] += 1
+        return places_above(p, F)
+
+    def counted_init(self):
+        calls["R8Elem"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(localsolve, "_TWO_ADIC_PLACES", {})
+    for module in (quadfield, localsolve):
+        monkeypatch.setattr(module, "places_above", counted_places)
+    monkeypatch.setattr(residue2adic.R8Elem, "__post_init__", counted_init)
+    code, out = run_cli(capsys, "selrank", "--disc", "-3", "--b", "520459")
+    assert code == 0 and json.loads(out)["sel_rank2"] >= 0
+    assert 0 < calls["places_above"] <= 10, calls
+    assert calls["R8Elem"] == 0, calls
 
 
 @pytest.mark.parametrize("precision,undecided", [("1", 24), ("2", 8), ("3", 8), ("4", 0), ("5", 0)])

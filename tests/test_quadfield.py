@@ -466,6 +466,64 @@ def test_val_unit_matches_the_three_branch_reference():
     assert checked > 100000
 
 
+def _powers(pi: QuadInt, top: int) -> list[QuadInt]:
+    out = [QuadInt(1, 0, pi.cw)]
+    for _ in range(top):
+        out.append(out[-1] * pi)
+    return out
+
+
+def test_val_unit_fast_paths_match_the_reference():
+    # val_unit returns a unit at once from its residue, and at inert places
+    # and at 2 divides the coordinates by p; each against the reference on
+    # large random units, on x * pi^e for e <= 12 at 2, at inert places and
+    # at the ramified place, and on elements that only the conjugate of a
+    # split prime divides, on all six fields
+    rng = random.Random(27)
+    big = 10**12
+
+    def rand(F):
+        return QuadInt(rng.randint(-big, big), rng.randint(-big, big), F.omega_norm)
+
+    checked = 0
+    for F in FIELDS.values():
+        ramified = -F.D
+        inert = [p for p in sympy.primerange(3, 60) if splitting_type(p, F).kind is PlaceKind.INERT]
+        split = [p for p in sympy.primerange(3, 60) if splitting_type(p, F).kind is PlaceKind.SPLIT]
+        for p in [2, ramified] + inert + split:
+            for pl in places_above(p, F):
+                for _ in range(40):
+                    x = rand(F)
+                    if x.is_zero:
+                        continue
+                    assert val_unit(x, pl, F) == _reference_val_unit(x, pl, F), (x, pl)
+                    checked += 1
+        for p in [2, ramified] + inert:
+            (pl,) = places_above(p, F)
+            for e, pe in enumerate(_powers(pl.pi, 12)):
+                for _ in range(4):
+                    y = rand(F) * pe
+                    if y.is_zero:
+                        continue
+                    got = val_unit(y, pl, F)
+                    assert got == _reference_val_unit(y, pl, F), (y, pl)
+                    assert got[0] >= e
+                    checked += 1
+        for p in split:
+            pl, other = places_above(p, F)
+            for e, pe in enumerate(_powers(other.pi, 6)):
+                for _ in range(4):
+                    x = rand(F)
+                    if residue_image(x, pl) == 0 or residue_image(x, other) == 0:
+                        continue
+                    y = x * pe  # divisible by the conjugate prime alone
+                    assert val_unit(y, pl, F) == _reference_val_unit(y, pl, F) == (0, y)
+                    assert val_unit(y, other, F) == _reference_val_unit(y, other, F)
+                    assert val_unit(y, other, F)[0] == e
+                    checked += 1
+    assert checked > 5000, checked
+
+
 def test_strip_fourth_powers():
     assert curve_spec(16, F3).b == 1
     assert curve_spec(32, F3).b == 2

@@ -224,3 +224,15 @@ def test_trace_lemma_split_primes(D):
         )
         assert is_sq == ((minus.t, minus.s) == (R8Elem(2, 0), R8Elem(1, 0)))
     assert hits > 10
+
+
+def test_square_unit_pair_test_matches_the_r8elem_table():
+    # the pair lookup against membership of R8Elem in UNIT_SQUARES_MOD8, on
+    # all 64 pairs mod 8 and on lifts of each, negative and past 2^64
+    lifts = (0, 1, -1, -3, 5, 2**64, -(2**70))
+    for r in ALL_MOD8:
+        want = r in UNIT_SQUARES_MOD8
+        for k0 in lifts:
+            for k1 in lifts:
+                assert is_square_unit_mod8((r.c0 + 8 * k0, r.c1 + 8 * k1)) is want, (r, k0, k1)
+    assert sum(is_square_unit_mod8(r.pair) for r in ALL_MOD8) == 6
